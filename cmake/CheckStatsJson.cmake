@@ -59,7 +59,8 @@ endforeach()
 
 # Nonzero IR-size counters ([1-9] forces a nonzero leading digit).
 foreach(COUNTER "aoi.defs" "lexer.tokens" "mint.nodes.total" "cast.nodes"
-                "backend.bytes_total")
+                "backend.bytes_total" "backend.cast_nodes"
+                "backend.cast_bytes")
   if(NOT DOC MATCHES "\"${COUNTER}\": [1-9]")
     message(FATAL_ERROR
             "stats JSON: counter '${COUNTER}' missing or zero in:\n${DOC}")

@@ -38,6 +38,10 @@ BackendOutput Backend::generate(PresC &P, const std::string &BaseName) {
   FLICK_STAT_COUNT("backend.bytes_total",
                    Out.Header.size() + Out.ClientSrc.size() +
                        Out.ServerSrc.size() + Out.CommonSrc.size());
+  // The CAST the stubs were printed from: presgen's declarations plus every
+  // function, helper and prototype built here.
+  FLICK_STAT_COUNT("backend.cast_nodes", P.Cast.numNodes());
+  FLICK_STAT_COUNT("backend.cast_bytes", P.Cast.numBytes());
   return Out;
 }
 

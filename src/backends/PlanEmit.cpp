@@ -1187,10 +1187,8 @@ void StubGen::emitUnion(const PresUnion *P, CastExpr *Val, bool Encode) {
 void StubGen::placeHelperFunc(CDFunc *Proto, CSBlock *Body, bool IntoClient,
                               bool IntoServer) {
   bool Inline = options().Inline;
-  auto *Def = B.func(Proto->ret(), Proto->name(), Proto->params(), Body,
-                     /*Static=*/Inline, /*Inline=*/Inline);
-  auto *Decl = B.func(Proto->ret(), Proto->name(), Proto->params(), nullptr,
-                      /*Static=*/Inline, /*Inline=*/Inline);
+  auto *Def = B.func(Proto, Body, /*Static=*/Inline, /*Inline=*/Inline);
+  auto *Decl = B.func(Proto, nullptr, /*Static=*/Inline, /*Inline=*/Inline);
   HelperProtos.push_back(Decl);
   if (Inline) {
     HelperDefs.push_back(Def);
@@ -1379,7 +1377,7 @@ std::string StubGen::freeHelper(const PresNode *Pn) {
     return It->second;
   std::string Name;
   if (const auto *Prim = dyn_cast_or_null<CastPrim>(Pn->ctype()))
-    Name = Prim->name() + "_flick_free";
+    Name = std::string(Prim->name()) + "_flick_free";
   else
     Name = sanitizeIdentifier(BaseName) + "_free_h" +
            std::to_string(++HelperCounter);

@@ -6,8 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// CastBuilder wraps a CastContext with short factory methods so the back
-/// ends can assemble marshal code without drowning in `Ctx.make<...>` noise.
+/// CastBuilder is the only way to create CAST nodes.  Its short factory
+/// methods let the back ends assemble marshal code without drowning in
+/// construction noise, and it copies every name, literal and child list it
+/// is given into the context's arena, so callers may pass temporaries.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +17,9 @@
 #define FLICK_CAST_BUILDER_H
 
 #include "cast/Cast.h"
+#include <algorithm>
+#include <cstring>
+#include <initializer_list>
 
 namespace flick {
 
@@ -24,55 +29,63 @@ class CastBuilder {
 public:
   explicit CastBuilder(CastContext &Ctx) : Ctx(Ctx) {}
 
-  CastContext &context() { return Ctx; }
-
   // --- Types ---
-  CastType *prim(const std::string &Name) { return Ctx.make<CastPrim>(Name); }
+  CastType *prim(std::string_view Name) {
+    return Ctx.make<CastPrim>(text(Name));
+  }
   CastType *voidTy() { return prim("void"); }
-  CastType *structTy(const std::string &Name) {
-    return Ctx.make<CastNamed>(CastTag::Struct, Name);
+  CastType *structTy(std::string_view Name) {
+    return Ctx.make<CastNamed>(CastTag::Struct, text(Name));
   }
-  CastType *unionTy(const std::string &Name) {
-    return Ctx.make<CastNamed>(CastTag::Union, Name);
+  CastType *unionTy(std::string_view Name) {
+    return Ctx.make<CastNamed>(CastTag::Union, text(Name));
   }
-  CastType *enumTy(const std::string &Name) {
-    return Ctx.make<CastNamed>(CastTag::Enum, Name);
+  CastType *enumTy(std::string_view Name) {
+    return Ctx.make<CastNamed>(CastTag::Enum, text(Name));
   }
   CastType *ptr(CastType *T) { return Ctx.make<CastPointer>(T, false); }
   CastType *constPtr(CastType *T) { return Ctx.make<CastPointer>(T, true); }
   CastType *arr(CastType *T, uint64_t N) { return Ctx.make<CastArray>(T, N); }
 
   // --- Expressions ---
-  CastExpr *id(const std::string &Name) { return Ctx.make<CEIdent>(Name); }
+  CastExpr *id(std::string_view Name) { return Ctx.make<CEIdent>(text(Name)); }
   CastExpr *num(int64_t V) {
     return Ctx.make<CEIntLit>(static_cast<uint64_t>(V), false);
   }
   CastExpr *unum(uint64_t V) { return Ctx.make<CEIntLit>(V, true); }
-  CastExpr *str(const std::string &S) { return Ctx.make<CEStrLit>(S); }
+  CastExpr *str(std::string_view S) { return Ctx.make<CEStrLit>(text(S)); }
   CastExpr *chr(char C) { return Ctx.make<CECharLit>(C); }
-  CastExpr *call(const std::string &Fn, std::vector<CastExpr *> Args) {
-    return Ctx.make<CECall>(id(Fn), std::move(Args));
+  // The std::initializer_list overloads take braced argument and
+  // statement lists without building a temporary vector.
+  CastExpr *call(std::string_view Fn, std::span<CastExpr *const> Args) {
+    return callE(id(Fn), Args);
   }
-  CastExpr *callE(CastExpr *Fn, std::vector<CastExpr *> Args) {
-    return Ctx.make<CECall>(Fn, std::move(Args));
+  CastExpr *call(std::string_view Fn, std::initializer_list<CastExpr *> Args) {
+    return callE(id(Fn), Args);
   }
-  CastExpr *mem(CastExpr *Base, const std::string &Field) {
-    return Ctx.make<CEMember>(Base, Field, /*Arrow=*/false);
+  CastExpr *callE(CastExpr *Fn, std::span<CastExpr *const> Args) {
+    return Ctx.make<CECall>(Fn, list(Args));
   }
-  CastExpr *arrow(CastExpr *Base, const std::string &Field) {
-    return Ctx.make<CEMember>(Base, Field, /*Arrow=*/true);
+  CastExpr *callE(CastExpr *Fn, std::initializer_list<CastExpr *> Args) {
+    return callE(Fn, std::span<CastExpr *const>(Args));
+  }
+  CastExpr *mem(CastExpr *Base, std::string_view Field) {
+    return Ctx.make<CEMember>(Base, text(Field), /*Arrow=*/false);
+  }
+  CastExpr *arrow(CastExpr *Base, std::string_view Field) {
+    return Ctx.make<CEMember>(Base, text(Field), /*Arrow=*/true);
   }
   CastExpr *idx(CastExpr *Base, CastExpr *I) {
     return Ctx.make<CEIndex>(Base, I);
   }
-  CastExpr *un(const std::string &Op, CastExpr *E) {
-    return Ctx.make<CEUnary>(Op, E);
+  CastExpr *un(std::string_view Op, CastExpr *E) {
+    return Ctx.make<CEUnary>(text(Op), E);
   }
   CastExpr *deref(CastExpr *E) { return un("*", E); }
   CastExpr *addr(CastExpr *E) { return un("&", E); }
   CastExpr *nt(CastExpr *E) { return un("!", E); }
-  CastExpr *bin(const std::string &Op, CastExpr *L, CastExpr *R) {
-    return Ctx.make<CEBinary>(Op, L, R);
+  CastExpr *bin(std::string_view Op, CastExpr *L, CastExpr *R) {
+    return Ctx.make<CEBinary>(text(Op), L, R);
   }
   CastExpr *assign(CastExpr *L, CastExpr *R) { return bin("=", L, R); }
   CastExpr *add(CastExpr *L, CastExpr *R) { return bin("+", L, R); }
@@ -88,16 +101,19 @@ public:
   CastExpr *ternary(CastExpr *C, CastExpr *T, CastExpr *E) {
     return Ctx.make<CETernary>(C, T, E);
   }
-  CastExpr *rawE(const std::string &Text) { return Ctx.make<CERaw>(Text); }
+  CastExpr *rawE(std::string_view Text) { return Ctx.make<CERaw>(text(Text)); }
 
   // --- Statements ---
   CastStmt *exprStmt(CastExpr *E) { return Ctx.make<CSExpr>(E); }
-  CastStmt *varDecl(CastType *T, const std::string &Name,
+  CastStmt *varDecl(CastType *T, std::string_view Name,
                     CastExpr *Init = nullptr) {
-    return Ctx.make<CSVarDecl>(T, Name, Init);
+    return Ctx.make<CSVarDecl>(T, text(Name), Init);
   }
-  CSBlock *block(std::vector<CastStmt *> Stmts = {}) {
-    return Ctx.make<CSBlock>(std::move(Stmts));
+  CSBlock *block(std::span<CastStmt *const> Stmts = {}) {
+    return Ctx.make<CSBlock>(list(Stmts));
+  }
+  CSBlock *block(std::initializer_list<CastStmt *> Stmts) {
+    return block(std::span<CastStmt *const>(Stmts));
   }
   CastStmt *ifStmt(CastExpr *Cond, CastStmt *Then, CastStmt *Else = nullptr) {
     return Ctx.make<CSIf>(Cond, Then, Else);
@@ -109,47 +125,95 @@ public:
                     CastStmt *Body) {
     return Ctx.make<CSFor>(Init, Cond, Step, Body);
   }
-  CSSwitch *switchStmt(CastExpr *Cond, std::vector<CastSwitchCase> Cases) {
-    return Ctx.make<CSSwitch>(Cond, std::move(Cases));
+  CSSwitch *switchStmt(CastExpr *Cond,
+                       const std::vector<CastSwitchCase> &Cases) {
+    auto *Arms = array<CSSwitch::Arm>(Cases.size());
+    for (size_t I = 0; I != Cases.size(); ++I)
+      new (&Arms[I]) CSSwitch::Arm{list<CastExpr>(Cases[I].Values),
+                                   list<CastStmt>(Cases[I].Stmts),
+                                   Cases[I].FallsThrough};
+    return Ctx.make<CSSwitch>(
+        Cond, std::span<const CSSwitch::Arm>(Arms, Cases.size()));
   }
   CastStmt *ret(CastExpr *E = nullptr) { return Ctx.make<CSReturn>(E); }
   CastStmt *brk() { return Ctx.make<CSBreak>(); }
-  CastStmt *comment(const std::string &Text) {
-    return Ctx.make<CSComment>(Text);
+  CastStmt *comment(std::string_view Text) {
+    return Ctx.make<CSComment>(text(Text));
   }
-  CastStmt *rawStmt(const std::string &Text) {
-    return Ctx.make<CSRaw>(Text);
+  CastStmt *rawStmt(std::string_view Text) {
+    return Ctx.make<CSRaw>(text(Text));
   }
 
   // --- Declarations ---
-  CDFunc *func(CastType *Ret, const std::string &Name,
-               std::vector<CastParam> Params, CSBlock *Body,
+  CDFunc *func(CastType *Ret, std::string_view Name,
+               const std::vector<CastParam> &Params, CSBlock *Body,
                bool Static = false, bool Inline = false) {
-    return Ctx.make<CDFunc>(Ret, Name, std::move(Params), Body, Static,
+    return Ctx.make<CDFunc>(Ret, text(Name), slots(Params), Body, Static,
                             Inline);
   }
-  CDAggregateDef *structDef(const std::string &Name,
-                            std::vector<CastParam> Fields) {
-    return Ctx.make<CDAggregateDef>(CastTag::Struct, Name,
-                                    std::move(Fields));
+  /// A function with \p Sig's return type, name and parameters.  Nodes are
+  /// immutable, so the name and parameter list are shared, not copied.
+  CDFunc *func(const CDFunc *Sig, CSBlock *Body, bool Static = false,
+               bool Inline = false) {
+    return Ctx.make<CDFunc>(Sig->ret(), Sig->name(), Sig->params(), Body,
+                            Static, Inline);
   }
-  CDAggregateDef *unionDef(const std::string &Name,
-                           std::vector<CastParam> Fields) {
-    return Ctx.make<CDAggregateDef>(CastTag::Union, Name, std::move(Fields));
+  CDAggregateDef *structDef(std::string_view Name,
+                            const std::vector<CastParam> &Fields) {
+    return Ctx.make<CDAggregateDef>(CastTag::Struct, text(Name), slots(Fields));
   }
-  CDEnumDef *enumDef(const std::string &Name,
-                     std::vector<CastEnumerator> Enumerators) {
-    return Ctx.make<CDEnumDef>(Name, std::move(Enumerators));
+  CDAggregateDef *unionDef(std::string_view Name,
+                           const std::vector<CastParam> &Fields) {
+    return Ctx.make<CDAggregateDef>(CastTag::Union, text(Name), slots(Fields));
   }
-  CDTypedef *typedefDecl(CastType *T, const std::string &Name) {
-    return Ctx.make<CDTypedef>(T, Name);
+  CDEnumDef *enumDef(std::string_view Name,
+                     const std::vector<CastEnumerator> &Enumerators) {
+    auto *Items = array<CDEnumDef::Item>(Enumerators.size());
+    for (size_t I = 0; I != Enumerators.size(); ++I)
+      new (&Items[I])
+          CDEnumDef::Item{text(Enumerators[I].Name), Enumerators[I].Value};
+    return Ctx.make<CDEnumDef>(
+        text(Name),
+        std::span<const CDEnumDef::Item>(Items, Enumerators.size()));
   }
-  CastDecl *declComment(const std::string &Text) {
-    return Ctx.make<CDComment>(Text);
+  CDTypedef *typedefDecl(CastType *T, std::string_view Name) {
+    return Ctx.make<CDTypedef>(T, text(Name));
   }
-  CastDecl *rawDecl(const std::string &Text) { return Ctx.make<CDRaw>(Text); }
+  CastDecl *declComment(std::string_view Text) {
+    return Ctx.make<CDComment>(text(Text));
+  }
+  CastDecl *rawDecl(std::string_view Text) {
+    return Ctx.make<CDRaw>(text(Text));
+  }
 
 private:
+  /// Uninitialized arena storage for \p N objects of type T.
+  template <typename T> T *array(size_t N) {
+    static_assert(std::is_trivially_destructible_v<T>);
+    return N ? static_cast<T *>(Ctx.allocate(N * sizeof(T), alignof(T)))
+             : nullptr;
+  }
+
+  std::string_view text(std::string_view S) {
+    char *P = array<char>(S.size());
+    if (P)
+      std::memcpy(P, S.data(), S.size());
+    return {P, S.size()};
+  }
+
+  template <typename T> std::span<T *const> list(std::span<T *const> Xs) {
+    T **P = array<T *>(Xs.size());
+    std::copy(Xs.begin(), Xs.end(), P);
+    return {P, Xs.size()};
+  }
+
+  std::span<const CastSlot> slots(const std::vector<CastParam> &Ps) {
+    auto *Slots = array<CastSlot>(Ps.size());
+    for (size_t I = 0; I != Ps.size(); ++I)
+      new (&Slots[I]) CastSlot{Ps[I].Type, text(Ps[I].Name)};
+    return {Slots, Ps.size()};
+  }
+
   CastContext &Ctx;
 };
 

@@ -11,8 +11,14 @@
 /// traditional IDL compilers that print strings as they go, Flick builds
 /// CAST so that PRES nodes can associate target-language constructs with
 /// MINT message types, and so back ends can transform generated code before
-/// printing.  The printer lives in Print.cpp; convenience constructors in
-/// Builder.h.
+/// printing.  The printer lives in Print.cpp; CastBuilder (Builder.h) is the
+/// only way to create nodes.
+///
+/// Nodes are immutable and live in their CastContext's arena.  Node text is
+/// a std::string_view and child lists are std::spans, both copied into the
+/// arena by the builder.  Every node class is trivially destructible, so
+/// freeing a compilation's CAST releases a few arena blocks instead of
+/// visiting every node.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,8 +27,13 @@
 
 #include "support/Casting.h"
 #include <cstdint>
-#include <memory>
+#include <memory_resource>
+#include <new>
+#include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace flick {
@@ -40,8 +51,6 @@ public:
 
   Kind kind() const { return K; }
 
-  virtual ~CastType() = default;
-
 protected:
   explicit CastType(Kind K) : K(K) {}
 
@@ -53,15 +62,14 @@ private:
 /// or any typedef name.
 class CastPrim : public CastType {
 public:
-  explicit CastPrim(std::string Name)
-      : CastType(Kind::Prim), Name(std::move(Name)) {}
+  explicit CastPrim(std::string_view Name) : CastType(Kind::Prim), Name(Name) {}
 
-  const std::string &name() const { return Name; }
+  std::string_view name() const { return Name; }
 
   static bool classof(const CastType *T) { return T->kind() == Kind::Prim; }
 
 private:
-  std::string Name;
+  std::string_view Name;
 };
 
 /// Aggregate tag kinds for CastNamed.
@@ -70,20 +78,22 @@ enum class CastTag { Struct, Union, Enum };
 /// A tagged type reference: `struct Foo`, `union Bar`, `enum Baz`.
 class CastNamed : public CastType {
 public:
-  CastNamed(CastTag Tag, std::string Name)
-      : CastType(Kind::Named), Tag(Tag), Name(std::move(Name)) {}
+  CastNamed(CastTag Tag, std::string_view Name)
+      : CastType(Kind::Named), Tag(Tag), Name(Name) {}
 
   CastTag tag() const { return Tag; }
-  const std::string &name() const { return Name; }
+  std::string_view name() const { return Name; }
 
   static bool classof(const CastType *T) { return T->kind() == Kind::Named; }
 
 private:
   CastTag Tag;
-  std::string Name;
+  std::string_view Name;
 };
 
-/// A pointer type; `Const` qualifies the pointee (`const T *`).
+/// A pointer type; `Const` qualifies the pointee (`const T *`).  When the
+/// pointee is itself a pointer, the qualifier prints on that pointer
+/// (`char *const *`).
 class CastPointer : public CastType {
 public:
   CastPointer(CastType *Pointee, bool ConstPointee)
@@ -143,8 +153,6 @@ public:
 
   Kind kind() const { return K; }
 
-  virtual ~CastExpr() = default;
-
 protected:
   explicit CastExpr(Kind K) : K(K) {}
 
@@ -155,13 +163,12 @@ private:
 /// A bare identifier.
 class CEIdent : public CastExpr {
 public:
-  explicit CEIdent(std::string Name)
-      : CastExpr(Kind::Ident), Name(std::move(Name)) {}
-  const std::string &name() const { return Name; }
+  explicit CEIdent(std::string_view Name) : CastExpr(Kind::Ident), Name(Name) {}
+  std::string_view name() const { return Name; }
   static bool classof(const CastExpr *E) { return E->kind() == Kind::Ident; }
 
 private:
-  std::string Name;
+  std::string_view Name;
 };
 
 /// An integer literal; prints with a `u`/`ull` suffix as needed.
@@ -186,15 +193,15 @@ private:
 /// A string literal (unescaped content stored).
 class CEStrLit : public CastExpr {
 public:
-  explicit CEStrLit(std::string Value)
-      : CastExpr(Kind::StrLit), Value(std::move(Value)) {}
-  const std::string &value() const { return Value; }
+  explicit CEStrLit(std::string_view Value)
+      : CastExpr(Kind::StrLit), Value(Value) {}
+  std::string_view value() const { return Value; }
   static bool classof(const CastExpr *E) {
     return E->kind() == Kind::StrLit;
   }
 
 private:
-  std::string Value;
+  std::string_view Value;
 };
 
 /// A character literal.
@@ -213,25 +220,24 @@ private:
 /// A function call `Callee(Args...)`.
 class CECall : public CastExpr {
 public:
-  CECall(CastExpr *Callee, std::vector<CastExpr *> Args)
-      : CastExpr(Kind::Call), Callee(Callee), Args(std::move(Args)) {}
+  CECall(CastExpr *Callee, std::span<CastExpr *const> Args)
+      : CastExpr(Kind::Call), Callee(Callee), Args(Args) {}
   CastExpr *callee() const { return Callee; }
-  const std::vector<CastExpr *> &args() const { return Args; }
+  std::span<CastExpr *const> args() const { return Args; }
   static bool classof(const CastExpr *E) { return E->kind() == Kind::Call; }
 
 private:
   CastExpr *Callee;
-  std::vector<CastExpr *> Args;
+  std::span<CastExpr *const> Args;
 };
 
 /// Member access `Base.Name` or `Base->Name`.
 class CEMember : public CastExpr {
 public:
-  CEMember(CastExpr *Base, std::string Name, bool Arrow)
-      : CastExpr(Kind::Member), Base(Base), Name(std::move(Name)),
-        Arrow(Arrow) {}
+  CEMember(CastExpr *Base, std::string_view Name, bool Arrow)
+      : CastExpr(Kind::Member), Base(Base), Name(Name), Arrow(Arrow) {}
   CastExpr *base() const { return Base; }
-  const std::string &name() const { return Name; }
+  std::string_view name() const { return Name; }
   bool isArrow() const { return Arrow; }
   static bool classof(const CastExpr *E) {
     return E->kind() == Kind::Member;
@@ -239,7 +245,7 @@ public:
 
 private:
   CastExpr *Base;
-  std::string Name;
+  std::string_view Name;
   bool Arrow;
 };
 
@@ -260,23 +266,23 @@ private:
 /// A prefix unary operator (`*`, `&`, `-`, `!`, `~`, `++`, `--`).
 class CEUnary : public CastExpr {
 public:
-  CEUnary(std::string Op, CastExpr *Operand)
-      : CastExpr(Kind::Unary), Op(std::move(Op)), Operand(Operand) {}
-  const std::string &op() const { return Op; }
+  CEUnary(std::string_view Op, CastExpr *Operand)
+      : CastExpr(Kind::Unary), Op(Op), Operand(Operand) {}
+  std::string_view op() const { return Op; }
   CastExpr *operand() const { return Operand; }
   static bool classof(const CastExpr *E) { return E->kind() == Kind::Unary; }
 
 private:
-  std::string Op;
+  std::string_view Op;
   CastExpr *Operand;
 };
 
 /// An infix binary operator, including assignment operators.
 class CEBinary : public CastExpr {
 public:
-  CEBinary(std::string Op, CastExpr *LHS, CastExpr *RHS)
-      : CastExpr(Kind::Binary), Op(std::move(Op)), LHS(LHS), RHS(RHS) {}
-  const std::string &op() const { return Op; }
+  CEBinary(std::string_view Op, CastExpr *LHS, CastExpr *RHS)
+      : CastExpr(Kind::Binary), Op(Op), LHS(LHS), RHS(RHS) {}
+  std::string_view op() const { return Op; }
   CastExpr *lhs() const { return LHS; }
   CastExpr *rhs() const { return RHS; }
   static bool classof(const CastExpr *E) {
@@ -284,7 +290,7 @@ public:
   }
 
 private:
-  std::string Op;
+  std::string_view Op;
   CastExpr *LHS;
   CastExpr *RHS;
 };
@@ -339,13 +345,12 @@ private:
 /// constructs CAST does not model.
 class CERaw : public CastExpr {
 public:
-  explicit CERaw(std::string Text)
-      : CastExpr(Kind::Raw), Text(std::move(Text)) {}
-  const std::string &text() const { return Text; }
+  explicit CERaw(std::string_view Text) : CastExpr(Kind::Raw), Text(Text) {}
+  std::string_view text() const { return Text; }
   static bool classof(const CastExpr *E) { return E->kind() == Kind::Raw; }
 
 private:
-  std::string Text;
+  std::string_view Text;
 };
 
 //===----------------------------------------------------------------------===//
@@ -372,8 +377,6 @@ public:
 
   Kind kind() const { return K; }
 
-  virtual ~CastStmt() = default;
-
 protected:
   explicit CastStmt(Kind K) : K(K) {}
 
@@ -395,11 +398,10 @@ private:
 /// A local variable declaration with optional initializer.
 class CSVarDecl : public CastStmt {
 public:
-  CSVarDecl(CastType *Type, std::string Name, CastExpr *Init)
-      : CastStmt(Kind::VarDecl), Type(Type), Name(std::move(Name)),
-        Init(Init) {}
+  CSVarDecl(CastType *Type, std::string_view Name, CastExpr *Init)
+      : CastStmt(Kind::VarDecl), Type(Type), Name(Name), Init(Init) {}
   CastType *type() const { return Type; }
-  const std::string &name() const { return Name; }
+  std::string_view name() const { return Name; }
   CastExpr *init() const { return Init; }
   static bool classof(const CastStmt *S) {
     return S->kind() == Kind::VarDecl;
@@ -407,22 +409,20 @@ public:
 
 private:
   CastType *Type;
-  std::string Name;
+  std::string_view Name;
   CastExpr *Init;
 };
 
 /// A `{ ... }` block.
 class CSBlock : public CastStmt {
 public:
-  explicit CSBlock(std::vector<CastStmt *> Stmts = {})
-      : CastStmt(Kind::Block), Stmts(std::move(Stmts)) {}
-  const std::vector<CastStmt *> &stmts() const { return Stmts; }
-  void add(CastStmt *S) { Stmts.push_back(S); }
-  bool empty() const { return Stmts.empty(); }
+  explicit CSBlock(std::span<CastStmt *const> Stmts)
+      : CastStmt(Kind::Block), Stmts(Stmts) {}
+  std::span<CastStmt *const> stmts() const { return Stmts; }
   static bool classof(const CastStmt *S) { return S->kind() == Kind::Block; }
 
 private:
-  std::vector<CastStmt *> Stmts;
+  std::span<CastStmt *const> Stmts;
 };
 
 /// `if (Cond) Then [else Else]`.
@@ -475,8 +475,9 @@ private:
   CastStmt *Body;
 };
 
-/// One arm of a switch; empty Values means `default:`.  Each arm's
-/// statements are followed by `break;` unless FallsThrough.
+/// One arm of a switch as the builder takes it; empty Values means
+/// `default:`.  Each arm's statements are followed by `break;` unless
+/// FallsThrough.
 struct CastSwitchCase {
   std::vector<CastExpr *> Values;
   std::vector<CastStmt *> Stmts;
@@ -487,18 +488,24 @@ struct CastSwitchCase {
 /// server demultiplexers (paper §3.3).
 class CSSwitch : public CastStmt {
 public:
-  CSSwitch(CastExpr *Cond, std::vector<CastSwitchCase> Cases)
-      : CastStmt(Kind::Switch), Cond(Cond), Cases(std::move(Cases)) {}
+  /// A CastSwitchCase as stored in the arena.
+  struct Arm {
+    std::span<CastExpr *const> Values;
+    std::span<CastStmt *const> Stmts;
+    bool FallsThrough;
+  };
+
+  CSSwitch(CastExpr *Cond, std::span<const Arm> Cases)
+      : CastStmt(Kind::Switch), Cond(Cond), Cases(Cases) {}
   CastExpr *cond() const { return Cond; }
-  const std::vector<CastSwitchCase> &cases() const { return Cases; }
-  std::vector<CastSwitchCase> &cases() { return Cases; }
+  std::span<const Arm> cases() const { return Cases; }
   static bool classof(const CastStmt *S) {
     return S->kind() == Kind::Switch;
   }
 
 private:
   CastExpr *Cond;
-  std::vector<CastSwitchCase> Cases;
+  std::span<const Arm> Cases;
 };
 
 /// `return [E];`.
@@ -533,37 +540,43 @@ public:
 /// A `/* ... */` comment line in the output.
 class CSComment : public CastStmt {
 public:
-  explicit CSComment(std::string Text)
-      : CastStmt(Kind::Comment), Text(std::move(Text)) {}
-  const std::string &text() const { return Text; }
+  explicit CSComment(std::string_view Text)
+      : CastStmt(Kind::Comment), Text(Text) {}
+  std::string_view text() const { return Text; }
   static bool classof(const CastStmt *S) {
     return S->kind() == Kind::Comment;
   }
 
 private:
-  std::string Text;
+  std::string_view Text;
 };
 
 /// A verbatim statement line.
 class CSRaw : public CastStmt {
 public:
-  explicit CSRaw(std::string Text)
-      : CastStmt(Kind::Raw), Text(std::move(Text)) {}
-  const std::string &text() const { return Text; }
+  explicit CSRaw(std::string_view Text) : CastStmt(Kind::Raw), Text(Text) {}
+  std::string_view text() const { return Text; }
   static bool classof(const CastStmt *S) { return S->kind() == Kind::Raw; }
 
 private:
-  std::string Text;
+  std::string_view Text;
 };
 
 //===----------------------------------------------------------------------===//
 // Declarations and files
 //===----------------------------------------------------------------------===//
 
-/// A named, typed slot (function parameter or aggregate field).
+/// A named, typed slot (function parameter or aggregate field) as the
+/// builder takes it.
 struct CastParam {
   CastType *Type = nullptr;
   std::string Name;
+};
+
+/// A CastParam as stored in the arena.
+struct CastSlot {
+  CastType *Type;
+  std::string_view Name;
 };
 
 /// Base class of file-scope declarations.
@@ -581,8 +594,6 @@ public:
 
   Kind kind() const { return K; }
 
-  virtual ~CastDecl() = default;
-
 protected:
   explicit CastDecl(Kind K) : K(K) {}
 
@@ -593,18 +604,18 @@ private:
 /// A file-scope variable.
 class CDVar : public CastDecl {
 public:
-  CDVar(CastType *Type, std::string Name, CastExpr *Init, bool Static)
-      : CastDecl(Kind::Var), Type(Type), Name(std::move(Name)), Init(Init),
+  CDVar(CastType *Type, std::string_view Name, CastExpr *Init, bool Static)
+      : CastDecl(Kind::Var), Type(Type), Name(Name), Init(Init),
         Static(Static) {}
   CastType *type() const { return Type; }
-  const std::string &name() const { return Name; }
+  std::string_view name() const { return Name; }
   CastExpr *init() const { return Init; }
   bool isStatic() const { return Static; }
   static bool classof(const CastDecl *D) { return D->kind() == Kind::Var; }
 
 private:
   CastType *Type;
-  std::string Name;
+  std::string_view Name;
   CastExpr *Init;
   bool Static;
 };
@@ -612,24 +623,22 @@ private:
 /// A function definition (Body set) or prototype (Body null).
 class CDFunc : public CastDecl {
 public:
-  CDFunc(CastType *Ret, std::string Name, std::vector<CastParam> Params,
+  CDFunc(CastType *Ret, std::string_view Name, std::span<const CastSlot> Params,
          CSBlock *Body, bool Static, bool Inline)
-      : CastDecl(Kind::Func), Ret(Ret), Name(std::move(Name)),
-        Params(std::move(Params)), Body(Body), Static(Static),
-        Inline(Inline) {}
+      : CastDecl(Kind::Func), Ret(Ret), Name(Name), Params(Params),
+        Body(Body), Static(Static), Inline(Inline) {}
   CastType *ret() const { return Ret; }
-  const std::string &name() const { return Name; }
-  const std::vector<CastParam> &params() const { return Params; }
+  std::string_view name() const { return Name; }
+  std::span<const CastSlot> params() const { return Params; }
   CSBlock *body() const { return Body; }
-  void setBody(CSBlock *B) { Body = B; }
   bool isStatic() const { return Static; }
   bool isInline() const { return Inline; }
   static bool classof(const CastDecl *D) { return D->kind() == Kind::Func; }
 
 private:
   CastType *Ret;
-  std::string Name;
-  std::vector<CastParam> Params;
+  std::string_view Name;
+  std::span<const CastSlot> Params;
   CSBlock *Body;
   bool Static;
   bool Inline;
@@ -638,23 +647,23 @@ private:
 /// A struct or union definition.
 class CDAggregateDef : public CastDecl {
 public:
-  CDAggregateDef(CastTag Tag, std::string Name, std::vector<CastParam> Fields)
-      : CastDecl(Kind::AggregateDef), Tag(Tag), Name(std::move(Name)),
-        Fields(std::move(Fields)) {}
+  CDAggregateDef(CastTag Tag, std::string_view Name,
+                 std::span<const CastSlot> Fields)
+      : CastDecl(Kind::AggregateDef), Tag(Tag), Name(Name), Fields(Fields) {}
   CastTag tag() const { return Tag; }
-  const std::string &name() const { return Name; }
-  const std::vector<CastParam> &fields() const { return Fields; }
+  std::string_view name() const { return Name; }
+  std::span<const CastSlot> fields() const { return Fields; }
   static bool classof(const CastDecl *D) {
     return D->kind() == Kind::AggregateDef;
   }
 
 private:
   CastTag Tag;
-  std::string Name;
-  std::vector<CastParam> Fields;
+  std::string_view Name;
+  std::span<const CastSlot> Fields;
 };
 
-/// One enumerator of a CDEnumDef.
+/// One enumerator of a CDEnumDef, as the builder takes it.
 struct CastEnumerator {
   std::string Name;
   int64_t Value = 0;
@@ -663,62 +672,64 @@ struct CastEnumerator {
 /// An enum definition.
 class CDEnumDef : public CastDecl {
 public:
-  CDEnumDef(std::string Name, std::vector<CastEnumerator> Enumerators)
-      : CastDecl(Kind::EnumDef), Name(std::move(Name)),
-        Enumerators(std::move(Enumerators)) {}
-  const std::string &name() const { return Name; }
-  const std::vector<CastEnumerator> &enumerators() const {
-    return Enumerators;
-  }
+  /// A CastEnumerator as stored in the arena.
+  struct Item {
+    std::string_view Name;
+    int64_t Value;
+  };
+
+  CDEnumDef(std::string_view Name, std::span<const Item> Enumerators)
+      : CastDecl(Kind::EnumDef), Name(Name), Enumerators(Enumerators) {}
+  std::string_view name() const { return Name; }
+  std::span<const Item> enumerators() const { return Enumerators; }
   static bool classof(const CastDecl *D) {
     return D->kind() == Kind::EnumDef;
   }
 
 private:
-  std::string Name;
-  std::vector<CastEnumerator> Enumerators;
+  std::string_view Name;
+  std::span<const Item> Enumerators;
 };
 
 /// `typedef <Type> <Name>;`
 class CDTypedef : public CastDecl {
 public:
-  CDTypedef(CastType *Type, std::string Name)
-      : CastDecl(Kind::Typedef), Type(Type), Name(std::move(Name)) {}
+  CDTypedef(CastType *Type, std::string_view Name)
+      : CastDecl(Kind::Typedef), Type(Type), Name(Name) {}
   CastType *type() const { return Type; }
-  const std::string &name() const { return Name; }
+  std::string_view name() const { return Name; }
   static bool classof(const CastDecl *D) {
     return D->kind() == Kind::Typedef;
   }
 
 private:
   CastType *Type;
-  std::string Name;
+  std::string_view Name;
 };
 
 /// A file-scope comment.
 class CDComment : public CastDecl {
 public:
-  explicit CDComment(std::string Text)
-      : CastDecl(Kind::Comment), Text(std::move(Text)) {}
-  const std::string &text() const { return Text; }
+  explicit CDComment(std::string_view Text)
+      : CastDecl(Kind::Comment), Text(Text) {}
+  std::string_view text() const { return Text; }
   static bool classof(const CastDecl *D) {
     return D->kind() == Kind::Comment;
   }
 
 private:
-  std::string Text;
+  std::string_view Text;
 };
 
 /// A verbatim file-scope line (preprocessor directives and such).
 class CDRaw : public CastDecl {
 public:
-  explicit CDRaw(std::string Text)
-      : CastDecl(Kind::Raw), Text(std::move(Text)) {}
-  const std::string &text() const { return Text; }
+  explicit CDRaw(std::string_view Text) : CastDecl(Kind::Raw), Text(Text) {}
+  std::string_view text() const { return Text; }
   static bool classof(const CastDecl *D) { return D->kind() == Kind::Raw; }
 
 private:
-  std::string Text;
+  std::string_view Text;
 };
 
 /// One generated translation unit or header.
@@ -732,32 +743,42 @@ public:
   void add(CastDecl *D) { Decls.push_back(D); }
 };
 
-/// Owns every CAST node of a compilation.  CastType/CastExpr/CastStmt/
-/// CastDecl do not share a base class, so nodes are stored behind a
-/// type-erasing holder.
+/// Owns every CAST node of a compilation: an arena that nodes, their text
+/// and their child lists are carved from, released all at once when the
+/// context dies.  Only CastBuilder allocates from it.
 class CastContext {
 public:
-  template <typename T, typename... Args> T *make(Args &&...As) {
-    auto Holder = std::make_unique<Node<T>>(std::forward<Args>(As)...);
-    T *Raw = &Holder->Value;
-    Nodes.push_back(std::move(Holder));
-    return Raw;
-  }
+  /// Size of the arena's first block; later blocks grow geometrically.
+  static constexpr size_t FirstBlockBytes = 64 * 1024;
 
-  /// Total CAST nodes owned (--stats IR-size counter).
-  size_t numNodes() const { return Nodes.size(); }
+  CastContext() : Arena(FirstBlockBytes) {}
+  CastContext(const CastContext &) = delete;
+  CastContext &operator=(const CastContext &) = delete;
+
+  /// Total CAST nodes built (--stats IR-size counter).
+  size_t numNodes() const { return Nodes; }
+  /// Arena bytes handed out to nodes, text and child lists.
+  size_t numBytes() const { return Bytes; }
 
 private:
-  struct NodeBase {
-    virtual ~NodeBase() = default;
-  };
-  template <typename T> struct Node final : NodeBase {
-    template <typename... Args>
-    explicit Node(Args &&...As) : Value(std::forward<Args>(As)...) {}
-    T Value;
-  };
+  friend class CastBuilder;
 
-  std::vector<std::unique_ptr<NodeBase>> Nodes;
+  void *allocate(size_t Size, size_t Align) {
+    Bytes += Size;
+    return Arena.allocate(Size, Align);
+  }
+
+  template <typename T, typename... Args> T *make(Args &&...As) {
+    static_assert(std::is_trivially_destructible_v<T>,
+                  "CAST nodes are never destroyed; the arena is released "
+                  "whole");
+    ++Nodes;
+    return new (allocate(sizeof(T), alignof(T))) T(std::forward<Args>(As)...);
+  }
+
+  std::pmr::monotonic_buffer_resource Arena;
+  size_t Nodes = 0;
+  size_t Bytes = 0;
 };
 
 //===----------------------------------------------------------------------===//
@@ -766,7 +787,7 @@ private:
 
 /// Renders \p Type declaring \p Name using C declarator syntax
 /// (`char *argv[4]`); empty Name prints an abstract declarator.
-std::string printCastType(const CastType *Type, const std::string &Name);
+std::string printCastType(const CastType *Type, std::string_view Name);
 
 /// Renders one expression with minimal parentheses.
 std::string printCastExpr(const CastExpr *E);

@@ -9,7 +9,9 @@
 /// Renders CAST into compilable C.  Types print with real C declarator
 /// syntax (pointers bind inward, arrays outward); expressions print with a
 /// precedence table so parentheses appear only where required or where they
-/// aid reading (mixed && / || is always parenthesized).
+/// aid reading (mixed && / || is always parenthesized).  Every statement and
+/// declaration is appended straight into the CodeWriter's buffer, left to
+/// right, without per-line temporaries.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +19,7 @@
 #include "support/CodeWriter.h"
 #include "support/StringExtras.h"
 #include <cassert>
+#include <charconv>
 
 using namespace flick;
 
@@ -26,55 +29,115 @@ using namespace flick;
 
 namespace {
 
-/// Returns the base (leftmost) type specifier and builds the declarator
-/// around \p Name: `T` for prim, `*Name` for pointers, `Name[N]` for arrays.
-void buildDeclarator(const CastType *T, std::string &Spec, std::string &Decl) {
-  if (!T) { Spec = "__NULLTYPE__"; return; }
-  switch (T->kind()) {
-  case CastType::Kind::Prim:
-    Spec = cast<CastPrim>(T)->name();
-    return;
-  case CastType::Kind::Named: {
-    const auto *N = cast<CastNamed>(T);
-    const char *Tag = N->tag() == CastTag::Struct  ? "struct "
-                      : N->tag() == CastTag::Union ? "union "
-                                                   : "enum ";
-    Spec = Tag + N->name();
-    return;
+/// Appends the decimal form of \p V.
+template <typename IntT> void appendInt(IntT V, std::string &Out) {
+  char Buf[24];
+  auto R = std::to_chars(Buf, Buf + sizeof(Buf), V);
+  Out.append(Buf, R.ptr);
+}
+
+/// True when \p P's const-pointee qualifier prints on the pointee's own `*`
+/// (`char *const *`): the pointee is itself a pointer.  Otherwise it prints
+/// on the specifier (`const char *`).
+bool constOnPointee(const CastPointer *P) {
+  return P->isConstPointee() && P->pointee() && isa<CastPointer>(P->pointee());
+}
+
+bool isDerived(const CastType *T) {
+  return T && (isa<CastPointer>(T) || isa<CastArray>(T));
+}
+
+bool pointsToArray(const CastPointer *P) {
+  return P->pointee() && isa<CastArray>(P->pointee());
+}
+
+/// Writes the base type's specifier, after one `const` for each const
+/// pointee in the chain that is not itself a pointer.
+void writeSpecifier(const CastType *T, std::string &Out) {
+  unsigned Consts = 0;
+  while (isDerived(T)) {
+    if (const auto *P = dyn_cast<CastPointer>(T)) {
+      Consts += P->isConstPointee() && !constOnPointee(P);
+      T = P->pointee();
+    } else {
+      T = cast<CastArray>(T)->elem();
+    }
   }
-  case CastType::Kind::Pointer: {
-    const auto *P = cast<CastPointer>(T);
-    std::string Inner = "*";
-    if (P->isConstPointee())
-      Inner = "*"; // constness printed on the specifier below
-    Decl = Inner + Decl;
-    // Pointer-to-array/function needs parens; only arrays are modeled.
-    if (P->pointee() && isa<CastArray>(P->pointee()))
-      Decl = "(" + Decl + ")";
-    buildDeclarator(P->pointee(), Spec, Decl);
-    if (P->isConstPointee())
-      Spec = "const " + Spec;
+  for (; Consts; --Consts)
+    Out += "const ";
+  if (!T) {
+    Out += "__NULLTYPE__";
+  } else if (const auto *N = dyn_cast<CastNamed>(T)) {
+    Out += N->tag() == CastTag::Struct  ? "struct "
+           : N->tag() == CastTag::Union ? "union "
+                                        : "enum ";
+    Out += N->name();
+  } else {
+    Out += cast<CastPrim>(T)->name();
+  }
+}
+
+/// Writes the declarator left of the name: each pointer's `*`, innermost
+/// first, opening a parenthesis where a pointer to an array needs one.
+/// \p ConstSelf qualifies \p T itself (its parent was a const pointee).
+void writePrefix(const CastType *T, bool ConstSelf, std::string &Out) {
+  if (const auto *P = dyn_cast_or_null<CastPointer>(T)) {
+    writePrefix(P->pointee(), constOnPointee(P), Out);
+    if (pointsToArray(P))
+      Out += '(';
+    Out += ConstSelf ? "*const " : "*";
+  } else if (const auto *A = dyn_cast_or_null<CastArray>(T)) {
+    writePrefix(A->elem(), false, Out);
+  }
+}
+
+/// Writes the declarator right of the name: array bounds, outermost first,
+/// and the parentheses writePrefix opened.
+void writeSuffix(const CastType *T, std::string &Out) {
+  while (isDerived(T)) {
+    if (const auto *P = dyn_cast<CastPointer>(T)) {
+      if (pointsToArray(P))
+        Out += ')';
+      T = P->pointee();
+    } else {
+      const auto *A = cast<CastArray>(T);
+      Out += '[';
+      if (A->size())
+        appendInt(A->size(), Out);
+      Out += ']';
+      T = A->elem();
+    }
+  }
+}
+
+/// The one declarator routine: writes \p T declaring a name, left to right
+/// (specifier, pointer prefix, name, array suffix).  \p WriteName appends
+/// the name part -- an identifier, or a function's name and parameter list.
+/// Without a name, a plain type prints as its bare specifier.
+template <typename NameFn>
+void writeDecl(const CastType *T, bool HasName, NameFn &&WriteName,
+               std::string &Out) {
+  writeSpecifier(T, Out);
+  if (!HasName && !isDerived(T))
     return;
-  }
-  case CastType::Kind::Array: {
-    const auto *A = cast<CastArray>(T);
-    Decl += A->size() ? "[" + std::to_string(A->size()) + "]" : "[]";
-    buildDeclarator(A->elem(), Spec, Decl);
-    return;
-  }
-  }
+  // No space between '*' and the name, one space after the specifier.
+  Out += ' ';
+  writePrefix(T, false, Out);
+  WriteName();
+  writeSuffix(T, Out);
+}
+
+void writeDecl(const CastType *T, std::string_view Name, std::string &Out) {
+  writeDecl(T, !Name.empty(), [&] { Out += Name; }, Out);
 }
 
 } // namespace
 
 std::string flick::printCastType(const CastType *Type,
-                                 const std::string &Name) {
-  std::string Spec, Decl = Name;
-  buildDeclarator(Type, Spec, Decl);
-  if (Decl.empty())
-    return Spec;
-  // No space between '*' and the name, one space after the specifier.
-  return Spec + " " + Decl;
+                                 std::string_view Name) {
+  std::string Out;
+  writeDecl(Type, Name, Out);
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//
@@ -84,7 +147,7 @@ std::string flick::printCastType(const CastType *Type,
 namespace {
 
 /// C precedence levels; larger binds tighter.
-int binaryPrec(const std::string &Op) {
+int binaryPrec(std::string_view Op) {
   if (Op == "*" || Op == "/" || Op == "%")
     return 13;
   if (Op == "+" || Op == "-")
@@ -109,8 +172,8 @@ int binaryPrec(const std::string &Op) {
   return 2;
 }
 
-bool isAssignOp(const std::string &Op) {
-  return flick::endsWith(Op, "=") && Op != "==" && Op != "!=" && Op != "<=" &&
+bool isAssignOp(std::string_view Op) {
+  return Op.ends_with('=') && Op != "==" && Op != "!=" && Op != "<=" &&
          Op != ">=";
 }
 
@@ -158,11 +221,10 @@ void printExpr(const CastExpr *E, std::string &Out) {
     return;
   case CastExpr::Kind::IntLit: {
     const auto *L = cast<CEIntLit>(E);
-    if (L->isUnsigned() || L->value() <= 0x7fffffffffffffffULL) {
-      Out += std::to_string(L->value());
-    } else {
-      Out += std::to_string(static_cast<int64_t>(L->value()));
-    }
+    if (L->isUnsigned() || L->value() <= 0x7fffffffffffffffULL)
+      appendInt(L->value(), Out);
+    else
+      appendInt(static_cast<int64_t>(L->value()), Out);
     if (L->isUnsigned())
       Out += 'u';
     if (L->isLongLong())
@@ -181,7 +243,7 @@ void printExpr(const CastExpr *E, std::string &Out) {
       Out += '\\';
       Out += C;
     } else {
-      Out += escapeCString(std::string(1, C));
+      Out += escapeCString(std::string_view(&C, 1));
     }
     Out += '\'';
     return;
@@ -261,14 +323,14 @@ void printExpr(const CastExpr *E, std::string &Out) {
   case CastExpr::Kind::Cast: {
     const auto *C = cast<CECast>(E);
     Out += '(';
-    Out += printCastType(C->type(), "");
+    writeDecl(C->type(), "", Out);
     Out += ')';
     printOperand(C->operand(), 14, Out);
     return;
   }
   case CastExpr::Kind::SizeofType:
     Out += "sizeof(";
-    Out += printCastType(cast<CESizeofType>(E)->type(), "");
+    writeDecl(cast<CESizeofType>(E)->type(), "", Out);
     Out += ')';
     return;
   case CastExpr::Kind::Ternary: {
@@ -302,6 +364,44 @@ std::string flick::printCastExpr(const CastExpr *E) {
 
 namespace {
 
+/// Line pieces beyond plain text: a type declaring a name, and an optional
+/// initializer (` = E`, nothing when null).
+struct Typed {
+  const CastType *Type;
+  std::string_view Name;
+};
+struct Init {
+  const CastExpr *E;
+};
+
+void put(std::string &Out, std::string_view S) { Out += S; }
+void put(std::string &Out, char C) { Out += C; }
+void put(std::string &Out, int64_t V) { appendInt(V, Out); }
+void put(std::string &Out, const CastExpr *E) { printExpr(E, Out); }
+void put(std::string &Out, Typed D) { writeDecl(D.Type, D.Name, Out); }
+void put(std::string &Out, Init I) {
+  if (I.E) {
+    Out += " = ";
+    printExpr(I.E, Out);
+  }
+}
+
+/// Writes \p Pieces straight into the writer's buffer and ends the line
+/// (continuing one a caller has started).
+template <typename... Ts> void line(CodeWriter &W, const Ts &...Pieces) {
+  std::string &Out = W.startLine();
+  (put(Out, Pieces), ...);
+  W.endLine();
+}
+
+/// Writes `Pieces {` and indents: the in-place CodeWriter::open.
+template <typename... Ts> void open(CodeWriter &W, const Ts &...Pieces) {
+  std::string &Out = W.startLine();
+  (put(Out, Pieces), ...);
+  Out += " {";
+  W.endLine().indent();
+}
+
 /// Prints \p S as the body of a control statement: blocks share the
 /// header's braces, single statements print indented on their own line.
 void printControlled(const CastStmt *S, CodeWriter &W) {
@@ -318,14 +418,11 @@ void printControlled(const CastStmt *S, CodeWriter &W) {
 void flick::printCastStmt(const CastStmt *S, CodeWriter &W) {
   switch (S->kind()) {
   case CastStmt::Kind::Expr:
-    W.line(printCastExpr(cast<CSExpr>(S)->expr()) + ";");
+    line(W, cast<CSExpr>(S)->expr(), ';');
     return;
   case CastStmt::Kind::VarDecl: {
     const auto *D = cast<CSVarDecl>(S);
-    std::string Line = printCastType(D->type(), D->name());
-    if (D->init())
-      Line += " = " + printCastExpr(D->init());
-    W.line(Line + ";");
+    line(W, Typed{D->type(), D->name()}, Init{D->init()}, ';');
     return;
   }
   case CastStmt::Kind::Block: {
@@ -337,7 +434,7 @@ void flick::printCastStmt(const CastStmt *S, CodeWriter &W) {
   }
   case CastStmt::Kind::If: {
     const auto *I = cast<CSIf>(S);
-    W.open("if (" + printCastExpr(I->cond()) + ")");
+    open(W, "if (", I->cond(), ')');
     printControlled(I->thenStmt(), W);
     if (const CastStmt *Else = I->elseStmt()) {
       W.outdent();
@@ -350,46 +447,40 @@ void flick::printCastStmt(const CastStmt *S, CodeWriter &W) {
   }
   case CastStmt::Kind::While: {
     const auto *L = cast<CSWhile>(S);
-    W.open("while (" + printCastExpr(L->cond()) + ")");
+    open(W, "while (", L->cond(), ')');
     printControlled(L->body(), W);
     W.close();
     return;
   }
   case CastStmt::Kind::For: {
     const auto *F = cast<CSFor>(S);
-    std::string Head = "for (";
-    if (const CastStmt *Init = F->init()) {
-      if (const auto *D = dyn_cast<CSVarDecl>(Init)) {
-        Head += printCastType(D->type(), D->name());
-        if (D->init())
-          Head += " = " + printCastExpr(D->init());
-      } else if (const auto *E = dyn_cast<CSExpr>(Init)) {
-        Head += printCastExpr(E->expr());
-      }
+    std::string &Out = W.startLine();
+    Out += "for (";
+    if (const auto *D = dyn_cast_or_null<CSVarDecl>(F->init())) {
+      put(Out, Typed{D->type(), D->name()});
+      put(Out, Init{D->init()});
+    } else if (const auto *E = dyn_cast_or_null<CSExpr>(F->init())) {
+      put(Out, E->expr());
     }
-    Head += "; ";
+    Out += "; ";
     if (F->cond())
-      Head += printCastExpr(F->cond());
-    Head += "; ";
+      put(Out, F->cond());
+    Out += "; ";
     if (F->step())
-      Head += printCastExpr(F->step());
-    Head += ")";
-    W.open(Head);
+      put(Out, F->step());
+    open(W, ')');
     printControlled(F->body(), W);
     W.close();
     return;
   }
   case CastStmt::Kind::Switch: {
     const auto *Sw = cast<CSSwitch>(S);
-    W.open("switch (" + printCastExpr(Sw->cond()) + ")");
-    for (const CastSwitchCase &C : Sw->cases()) {
-      if (C.Values.empty()) {
+    open(W, "switch (", Sw->cond(), ')');
+    for (const CSSwitch::Arm &C : Sw->cases()) {
+      if (C.Values.empty())
         W.line("default: {");
-      } else {
-        for (size_t I = 0; I + 1 < C.Values.size(); ++I)
-          W.line("case " + printCastExpr(C.Values[I]) + ":");
-        W.line("case " + printCastExpr(C.Values.back()) + ": {");
-      }
+      for (size_t I = 0, N = C.Values.size(); I != N; ++I)
+        line(W, "case ", C.Values[I], I + 1 == N ? ": {" : ":");
       // Braced bodies keep locals legal across case labels.
       W.indent();
       for (const CastStmt *Sub : C.Stmts)
@@ -402,11 +493,12 @@ void flick::printCastStmt(const CastStmt *S, CodeWriter &W) {
     W.close();
     return;
   }
-  case CastStmt::Kind::Return: {
-    const CastExpr *E = cast<CSReturn>(S)->expr();
-    W.line(E ? "return " + printCastExpr(E) + ";" : "return;");
+  case CastStmt::Kind::Return:
+    if (const CastExpr *E = cast<CSReturn>(S)->expr())
+      line(W, "return ", E, ';');
+    else
+      W.line("return;");
     return;
-  }
   case CastStmt::Kind::Break:
     W.line("break;");
     return;
@@ -414,7 +506,7 @@ void flick::printCastStmt(const CastStmt *S, CodeWriter &W) {
     W.line("continue;");
     return;
   case CastStmt::Kind::Comment:
-    W.line("/* " + cast<CSComment>(S)->text() + " */");
+    line(W, "/* ", cast<CSComment>(S)->text(), " */");
     return;
   case CastStmt::Kind::Raw:
     W.line(cast<CSRaw>(S)->text());
@@ -430,39 +522,37 @@ void flick::printCastDecl(const CastDecl *D, CodeWriter &W) {
   switch (D->kind()) {
   case CastDecl::Kind::Var: {
     const auto *V = cast<CDVar>(D);
-    std::string Line;
-    if (V->isStatic())
-      Line += "static ";
-    Line += printCastType(V->type(), V->name());
-    if (V->init())
-      Line += " = " + printCastExpr(V->init());
-    W.line(Line + ";");
+    line(W, V->isStatic() ? "static " : "", Typed{V->type(), V->name()},
+         Init{V->init()}, ';');
     return;
   }
   case CastDecl::Kind::Func: {
     const auto *F = cast<CDFunc>(D);
-    std::string Head;
+    std::string &Out = W.startLine();
     if (F->isStatic())
-      Head += "static ";
+      Out += "static ";
     if (F->isInline())
-      Head += "inline ";
-    std::string ParamList;
-    if (F->params().empty()) {
-      ParamList = "void";
-    } else {
-      for (size_t I = 0, N = F->params().size(); I != N; ++I) {
-        if (I)
-          ParamList += ", ";
-        const CastParam &P = F->params()[I];
-        ParamList += printCastType(P.Type, P.Name);
-      }
-    }
-    Head += printCastType(F->ret(), F->name() + "(" + ParamList + ")");
+      Out += "inline ";
+    writeDecl(
+        F->ret(), /*HasName=*/true,
+        [&] {
+          Out += F->name();
+          Out += '(';
+          if (F->params().empty())
+            Out += "void";
+          for (size_t I = 0, N = F->params().size(); I != N; ++I) {
+            if (I)
+              Out += ", ";
+            writeDecl(F->params()[I].Type, F->params()[I].Name, Out);
+          }
+          Out += ')';
+        },
+        Out);
     if (!F->body()) {
-      W.line(Head + ";");
+      line(W, ';');
       return;
     }
-    W.open(Head);
+    open(W);
     for (const CastStmt *S : F->body()->stmts())
       printCastStmt(S, W);
     W.close();
@@ -470,28 +560,27 @@ void flick::printCastDecl(const CastDecl *D, CodeWriter &W) {
   }
   case CastDecl::Kind::AggregateDef: {
     const auto *A = cast<CDAggregateDef>(D);
-    const char *Tag = A->tag() == CastTag::Struct ? "struct" : "union";
-    W.open(std::string(Tag) + " " + A->name());
-    for (const CastParam &F : A->fields())
-      W.line(printCastType(F.Type, F.Name) + ";");
+    open(W, A->tag() == CastTag::Struct ? "struct " : "union ", A->name());
+    for (const CastSlot &F : A->fields())
+      line(W, Typed{F.Type, F.Name}, ';');
     W.close(";");
     return;
   }
   case CastDecl::Kind::EnumDef: {
     const auto *E = cast<CDEnumDef>(D);
-    W.open("enum " + E->name());
-    for (const CastEnumerator &En : E->enumerators())
-      W.line(En.Name + " = " + std::to_string(En.Value) + ",");
+    open(W, "enum ", E->name());
+    for (const CDEnumDef::Item &En : E->enumerators())
+      line(W, En.Name, " = ", En.Value, ',');
     W.close(";");
     return;
   }
   case CastDecl::Kind::Typedef: {
     const auto *T = cast<CDTypedef>(D);
-    W.line("typedef " + printCastType(T->type(), T->name()) + ";");
+    line(W, "typedef ", Typed{T->type(), T->name()}, ';');
     return;
   }
   case CastDecl::Kind::Comment:
-    W.line("/* " + cast<CDComment>(D)->text() + " */");
+    line(W, "/* ", cast<CDComment>(D)->text(), " */");
     return;
   case CastDecl::Kind::Raw:
     W.line(cast<CDRaw>(D)->text());

@@ -293,8 +293,7 @@ PresGen::TypeMapping PresGen::mapUnion(AoiUnion *U) {
   // N_u _u;};`
   std::string UName = Name + "_" + unionUnionField();
   Out->TypeDecls.push_back(B->typedefDecl(B->structTy(Name), Name));
-  Out->TypeDecls.push_back(
-      Out->Cast.make<CDAggregateDef>(CastTag::Union, UName, UnionFields));
+  Out->TypeDecls.push_back(B->unionDef(UName, UnionFields));
   std::vector<CastParam> SFields;
   SFields.push_back(CastParam{Disc.CT, unionDiscField()});
   SFields.push_back(CastParam{B->unionTy(UName), unionUnionField()});

@@ -17,27 +17,18 @@ void CodeWriter::beginLineIfNeeded() {
   AtLineStart = false;
 }
 
-CodeWriter &CodeWriter::print(const std::string &Text) {
-  if (Text.empty())
-    return *this;
-  beginLineIfNeeded();
-  Out += Text;
-  return *this;
-}
-
-CodeWriter &CodeWriter::line(const std::string &Text) {
+CodeWriter &CodeWriter::print(std::string_view Text) {
   if (!Text.empty())
-    print(Text);
-  Out += '\n';
-  AtLineStart = true;
+    startLine() += Text;
   return *this;
 }
 
-CodeWriter &CodeWriter::blank() {
-  Out += '\n';
-  AtLineStart = true;
-  return *this;
+CodeWriter &CodeWriter::line(std::string_view Text) {
+  print(Text);
+  return endLine();
 }
+
+CodeWriter &CodeWriter::blank() { return endLine(); }
 
 CodeWriter &CodeWriter::outdent() {
   assert(Level > 0 && "outdent below level zero");
@@ -45,12 +36,20 @@ CodeWriter &CodeWriter::outdent() {
   return *this;
 }
 
-CodeWriter &CodeWriter::open(const std::string &Head) {
-  line(Head.empty() ? "{" : Head + " {");
-  return indent();
+CodeWriter &CodeWriter::open(std::string_view Head) {
+  std::string &Line = startLine();
+  if (!Head.empty()) {
+    Line += Head;
+    Line += ' ';
+  }
+  Line += '{';
+  return endLine().indent();
 }
 
-CodeWriter &CodeWriter::close(const std::string &Tail) {
+CodeWriter &CodeWriter::close(std::string_view Tail) {
   outdent();
-  return line("}" + Tail);
+  std::string &Line = startLine();
+  Line += '}';
+  Line += Tail;
+  return endLine();
 }

@@ -15,6 +15,7 @@
 #define FLICK_SUPPORT_CODEWRITER_H
 
 #include <string>
+#include <string_view>
 
 namespace flick {
 
@@ -24,10 +25,26 @@ public:
   explicit CodeWriter(unsigned IndentWidth = 2) : IndentWidth(IndentWidth) {}
 
   /// Appends raw text (no newline, no indentation applied mid-line).
-  CodeWriter &print(const std::string &Text);
+  CodeWriter &print(std::string_view Text);
 
   /// Appends one full line at the current indentation.
-  CodeWriter &line(const std::string &Text);
+  CodeWriter &line(std::string_view Text);
+
+  /// Starts a line at the current indentation (unless one is already
+  /// started) and returns the buffer, so a printer can append the line's
+  /// text in place instead of building it in a temporary.  endLine()
+  /// finishes the line.
+  std::string &startLine() {
+    beginLineIfNeeded();
+    return Out;
+  }
+
+  /// Ends the current line.
+  CodeWriter &endLine() {
+    Out += '\n';
+    AtLineStart = true;
+    return *this;
+  }
 
   /// Appends an empty line.
   CodeWriter &blank();
@@ -42,10 +59,10 @@ public:
   CodeWriter &outdent();
 
   /// Convenience: `line(Head + " {")` then indent.
-  CodeWriter &open(const std::string &Head);
+  CodeWriter &open(std::string_view Head);
 
   /// Convenience: outdent then `line("}" + Tail)`.
-  CodeWriter &close(const std::string &Tail = "");
+  CodeWriter &close(std::string_view Tail = "");
 
   const std::string &str() const { return Out; }
   std::string take() { return std::move(Out); }

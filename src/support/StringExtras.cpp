@@ -52,7 +52,7 @@ std::string flick::join(const std::vector<std::string> &Parts,
   return Out;
 }
 
-std::string flick::escapeCString(const std::string &S) {
+std::string flick::escapeCString(std::string_view S) {
   std::string Out;
   Out.reserve(S.size());
   for (char C : S) {

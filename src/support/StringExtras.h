@@ -15,6 +15,7 @@
 #define FLICK_SUPPORT_STRINGEXTRAS_H
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace flick {
@@ -33,7 +34,7 @@ std::string join(const std::vector<std::string> &Parts,
                  const std::string &Sep);
 
 /// Escapes \p S for inclusion inside a C string literal (no quotes added).
-std::string escapeCString(const std::string &S);
+std::string escapeCString(std::string_view S);
 
 /// Replaces every character that cannot appear in a C identifier with '_'.
 std::string sanitizeIdentifier(const std::string &S);

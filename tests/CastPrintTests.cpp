@@ -8,6 +8,7 @@
 #include "cast/Builder.h"
 #include "support/CodeWriter.h"
 #include <gtest/gtest.h>
+#include <type_traits>
 
 using namespace flick;
 
@@ -44,6 +45,21 @@ TEST_F(CastPrint, DeclaratorSyntax) {
   EXPECT_EQ(printCastType(B.constPtr(B.prim("char")), "s"),
             "const char *s");
   EXPECT_EQ(printCastType(B.structTy("foo"), ""), "struct foo");
+}
+
+// A const pointee that is itself a pointer takes the `const` on its own
+// `*`; only a non-pointer pointee carries it on the specifier.
+TEST_F(CastPrint, ConstPointeePointer) {
+  EXPECT_EQ(printCastType(B.constPtr(B.ptr(B.prim("char"))), "s"),
+            "char *const *s");
+  EXPECT_EQ(printCastType(B.constPtr(B.constPtr(B.prim("char"))), "s"),
+            "const char *const *s");
+  EXPECT_EQ(printCastType(B.constPtr(B.ptr(B.prim("char"))), ""),
+            "char *const *");
+  EXPECT_EQ(printCastType(B.ptr(B.constPtr(B.prim("char"))), "s"),
+            "const char **s");
+  EXPECT_EQ(printCastType(B.constPtr(B.arr(B.prim("char"), 4)), "p"),
+            "const char (*p)[4]");
 }
 
 TEST_F(CastPrint, ExpressionPrecedence) {
@@ -157,6 +173,100 @@ TEST_F(CastPrint, HeaderGuardWrapsFile) {
   EXPECT_NE(Text.find("#define TEST_H"), std::string::npos);
   EXPECT_NE(Text.find("#include <stdint.h>"), std::string::npos);
   EXPECT_NE(Text.find("#endif /* TEST_H */"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// The arena: nodes, text and child lists are copied in by the builder
+//===----------------------------------------------------------------------===//
+
+template <typename... Ts>
+constexpr bool TriviallyDestructible =
+    (std::is_trivially_destructible_v<Ts> && ...);
+
+static_assert(TriviallyDestructible<CastPrim, CastNamed, CastPointer,
+                                    CastArray>);
+static_assert(TriviallyDestructible<CEIdent, CEIntLit, CEStrLit, CECharLit,
+                                    CECall, CEMember, CEIndex, CEUnary,
+                                    CEBinary, CECast, CESizeofType,
+                                    CETernary, CERaw>);
+static_assert(TriviallyDestructible<CSExpr, CSVarDecl, CSBlock, CSIf,
+                                    CSWhile, CSFor, CSSwitch, CSSwitch::Arm,
+                                    CSReturn, CSBreak, CSContinue,
+                                    CSComment, CSRaw>);
+static_assert(TriviallyDestructible<CDVar, CDFunc, CDAggregateDef,
+                                    CDEnumDef, CDEnumDef::Item, CDTypedef,
+                                    CDComment, CDRaw, CastSlot>);
+
+TEST_F(CastPrint, BuilderCopiesTemporaryText) {
+  std::string Name = "counter";
+  CastExpr *E = B.id(Name);
+  CastStmt *C = B.comment(Name + " note");
+  CastType *T = B.prim(Name + "_t");
+  std::vector<CastParam> Ps = {{B.prim("int"), Name}};
+  CDFunc *F = B.func(B.voidTy(), Name, Ps, nullptr);
+  // Overwrite every source in place, and allocate again so the dead
+  // temporaries' storage is likely reused.
+  Name.assign(Name.size(), 'x');
+  Ps[0].Name.assign(Ps[0].Name.size(), 'y');
+  std::string Scribble(64, 'z');
+  EXPECT_EQ(printCastExpr(E), "counter");
+  EXPECT_EQ(stmtText(C), "/* counter note */\n");
+  EXPECT_EQ(printCastType(T, "v"), "counter_t v");
+  EXPECT_EQ(declText(F), "void counter(int counter);\n");
+}
+
+TEST_F(CastPrint, BuilderCopiesChildLists) {
+  std::vector<CastExpr *> Args = {B.id("a"), B.id("b")};
+  CastExpr *Call = B.call("f", Args);
+  std::vector<CastStmt *> Stmts = {B.brk()};
+  CSBlock *Blk = B.block(Stmts);
+  std::vector<CastSwitchCase> Cases(1);
+  Cases[0].Values = {B.num(1)};
+  Cases[0].Stmts = {B.ret()};
+  CastStmt *Sw = B.switchStmt(B.id("k"), Cases);
+  Args[0] = B.id("z");
+  Args.push_back(B.id("w"));
+  Stmts.assign(3, B.ret());
+  Cases[0].Values.push_back(B.num(2));
+  Cases[0].Stmts.clear();
+  EXPECT_EQ(printCastExpr(Call), "f(a, b)");
+  EXPECT_EQ(stmtText(Blk), "{\n  break;\n}\n");
+  EXPECT_EQ(stmtText(Sw), "switch (k) {\n  case 1: {\n    return;\n"
+                          "    break;\n  }\n}\n");
+}
+
+TEST_F(CastPrint, TextAndListLargerThanABlock) {
+  const size_t Big = 4 * CastContext::FirstBlockBytes;
+  std::string Long(Big, 'q');
+  Long.front() = '<';
+  Long.back() = '>';
+  CastStmt *Raw = B.rawStmt(Long);
+  std::vector<CastExpr *> Args;
+  for (size_t I = 0; I != Big / sizeof(CastExpr *); ++I)
+    Args.push_back(B.num(static_cast<int64_t>(I % 10)));
+  CastExpr *Call = B.call("g", Args);
+  Long.assign(Big, '-');
+  EXPECT_EQ(stmtText(Raw), "<" + std::string(Big - 2, 'q') + ">\n");
+  std::string Want = "g(";
+  for (size_t I = 0; I != Args.size(); ++I)
+    Want += (I ? ", " : "") + std::to_string(I % 10);
+  EXPECT_EQ(printCastExpr(Call), Want + ")");
+}
+
+TEST_F(CastPrint, NodesAcrossManyBlocks) {
+  std::vector<CastStmt *> Stmts;
+  std::string Want = "{\n";
+  for (int I = 0; Ctx.numBytes() < 8 * CastContext::FirstBlockBytes; ++I) {
+    std::string V = "v" + std::to_string(I);
+    Stmts.push_back(B.varDecl(B.constPtr(B.ptr(B.prim("char"))), V,
+                              B.idx(B.id("names"), B.num(I))));
+    Want += "  char *const *" + V + " = names[" + std::to_string(I) + "];\n";
+  }
+  Want += "}\n";
+  EXPECT_EQ(stmtText(B.block(Stmts)), Want);
+  // Seven nodes per statement (three types, three expressions, the
+  // declaration) plus the block.
+  EXPECT_EQ(Ctx.numNodes(), 7 * Stmts.size() + 1);
 }
 
 } // namespace

@@ -157,6 +157,13 @@ TEST_F(StatsTest, FullPipelineRecordsFivePhases) {
   EXPECT_EQ(Backend->counterValue("backend.bytes_total"),
             Out.Header.size() + Out.ClientSrc.size() + Out.ServerSrc.size() +
                 Out.CommonSrc.size());
+  // The back end's CAST count covers presgen's and its own.
+  EXPECT_EQ(Backend->counterValue("backend.cast_nodes"), P->Cast.numNodes());
+  EXPECT_GT(Backend->counterValue("backend.cast_nodes"),
+            Presgen->counterValue("cast.nodes"));
+  EXPECT_EQ(Backend->counterValue("backend.cast_bytes"), P->Cast.numBytes());
+  EXPECT_GT(Backend->counterValue("backend.cast_bytes"),
+            Backend->counterValue("backend.cast_nodes"));
   // The hierarchy: stub generation and printing nest under backend.
   EXPECT_NE(Backend->findChild("stubs"), nullptr);
   EXPECT_NE(Backend->findChild("print"), nullptr);
