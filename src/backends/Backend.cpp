@@ -9,7 +9,8 @@
 /// StubGen walks the encode-type -> MINT -> PRES -> CAST chains of a PRES_C
 /// and emits the marshal, unmarshal, stub, and dispatch code, applying the
 /// paper's optimizations (§3): coalesced buffer checks over fixed segments,
-/// chunk-pointer addressing, memcpy for bit-identical arrays, aggressive
+/// chunk-pointer addressing, memcpy for bit-identical arrays and one
+/// swap-copy call for byte-reversed ones, aggressive
 /// inlining with out-of-line helpers only for recursive types, scratch/alias
 /// parameter management, and switch-based demultiplexing.
 ///

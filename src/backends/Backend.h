@@ -249,9 +249,18 @@ private:
                       bool Encode);
 
   /// Emits the encode-side bulk copy of \p NB bytes from \p BaseE:
-  /// ensure+grab+memcpy, or -- inside a GatherRef step -- a size branch
-  /// between flick_buf_ref and that copy.
-  void emitBulkEncode(const std::string &NB, CastExpr *BaseE);
+  /// ensure+grab+copy, skipping the copy when \p NB is 0, or -- inside a
+  /// GatherRef step -- a size branch between flick_buf_ref and that copy.
+  /// A nonzero \p SwapWidth swap-copies words of that width instead of
+  /// memcpy (and never borrows).
+  void emitBulkEncode(const std::string &NB, CastExpr *BaseE,
+                      unsigned SwapWidth = 0);
+
+  /// `flick_swap_copy_u<8*SwapWidth>` of \p Words words between the wire
+  /// address \p Wire and presented storage \p Host, in the direction
+  /// \p Encode names.
+  CastExpr *swapCopyCall(unsigned SwapWidth, CastExpr *Wire, CastExpr *Host,
+                         CastExpr *Words, bool Encode);
 
   /// Wire stride of one fixed-size array element (padded to alignment).
   uint64_t elemStrideOf(const PresNode *Elem) const;

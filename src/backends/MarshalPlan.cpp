@@ -7,7 +7,7 @@
 ///
 /// \file
 /// The analysis half of the back end: shape classification, fixed-layout
-/// measurement, host/wire bit-identity, memcpy run merging, structural
+/// measurement, host/wire element images, memcpy run merging, structural
 /// type keys, and the strategy-neutral plan builder.  Nothing in this file
 /// touches CAST output; the pass pipeline (Passes.cpp) rewrites the plans
 /// built here and the plan emitter (PlanEmit.cpp) lowers them.
@@ -219,7 +219,7 @@ bool LayoutMeasurer::walkNew(const PresNode *P, uint64_t &Off,
 }
 
 //===----------------------------------------------------------------------===//
-// Aggregate bit-identity
+// Element host images
 //===----------------------------------------------------------------------===//
 
 CScalar flick::hostScalarOf(const PresNode *P) {
@@ -243,20 +243,41 @@ CScalar flick::hostScalarOf(const PresNode *P) {
   }
 }
 
-bool flick::walkBitIdentical(const PresNode *P, const WireLayout &L,
-                             uint64_t &WOff, uint64_t &COff,
-                             unsigned &CAlign) {
+namespace {
+
+/// The byte order the scalar leaves of a lockstep walk agree on: the
+/// first leaf sets it, and every later one must match.
+struct LeafOrder {
+  bool Seen = false;
+  unsigned SwapWidth = 0; ///< 0 while the leaves are bit-identical
+
+  bool admit(unsigned Width) {
+    if (Seen && Width != SwapWidth)
+      return false;
+    Seen = true;
+    SwapWidth = Width;
+    return true;
+  }
+};
+
+/// Walks wire and host layouts in lockstep; true when every scalar lands
+/// at the same offset with the same size and all scalars share one byte
+/// order (\p Order).
+bool walkHostImage(const PresNode *P, const WireLayout &L, uint64_t &WOff,
+                   uint64_t &COff, unsigned &CAlign, LeafOrder &Order) {
   switch (P->kind()) {
   case PresNode::Kind::Prim:
   case PresNode::Kind::Enum: {
     CScalar H = hostScalarOf(P);
-    if (!H.Size || !L.hostIdentical(P->mint()))
+    HostImage M = L.hostImage(P->mint());
+    if (!H.Size || M == HostImage::Differs)
       return false;
     unsigned WA = L.atomAlign(P->mint());
     unsigned WS = L.atomSize(P->mint());
     WOff = alignUpTo(WOff, WA);
     COff = alignUpTo(COff, H.Align);
-    if (WOff != COff || WS != H.Size)
+    if (WOff != COff || WS != H.Size ||
+        !Order.admit(M == HostImage::Reversed ? WS : 0))
       return false;
     WOff += WS;
     COff += H.Size;
@@ -267,7 +288,7 @@ bool flick::walkBitIdentical(const PresNode *P, const WireLayout &L,
     uint64_t SW = WOff, SC = COff;
     unsigned Inner = 1;
     for (const PresField &F : cast<PresStruct>(P)->fields())
-      if (!walkBitIdentical(F.Pres, L, WOff, COff, Inner))
+      if (!walkHostImage(F.Pres, L, WOff, COff, Inner, Order))
         return false;
     // C pads the struct tail to its alignment; the wire stride (computed
     // by LayoutMeasurer) pads to max member alignment the same way, so
@@ -284,7 +305,7 @@ bool flick::walkBitIdentical(const PresNode *P, const WireLayout &L,
   case PresNode::Kind::FixedArray: {
     const auto *A = cast<PresFixedArray>(P);
     for (uint64_t I = 0; I != A->count(); ++I)
-      if (!walkBitIdentical(A->elem(), L, WOff, COff, CAlign))
+      if (!walkHostImage(A->elem(), L, WOff, COff, CAlign, Order))
         return false;
     return true;
   }
@@ -293,24 +314,31 @@ bool flick::walkBitIdentical(const PresNode *P, const WireLayout &L,
   }
 }
 
-bool flick::presBitIdentical(const PresNode *Elem, const WireLayout &L,
-                             uint64_t &StrideOut) {
+} // namespace
+
+ElemImage flick::elemImageOf(const PresNode *Elem, const WireLayout &L) {
+  ElemImage Img;
+  if (classifyPres(Elem) != PKind::Scalar && !Elem->ctype())
+    return Img;
   uint64_t W = 0, C = 0;
   unsigned Align = 1;
-  if (!walkBitIdentical(Elem, L, W, C, Align))
-    return false;
+  LeafOrder Order;
+  if (!walkHostImage(Elem, L, W, C, Align, Order))
+    return Img;
   uint64_t CStride = alignUpTo(C, Align);
   // The wire stride emitArrayElems uses comes from LayoutMeasurer.
   LayoutMeasurer M(L);
   FixedLayout FL = M.measure(Elem);
   if (!FL.IsFixed)
-    return false;
+    return Img;
   uint64_t WStride =
       L.padded(alignUpTo(FL.Size, std::max<uint64_t>(FL.MaxAlign, 1)));
   if (CStride != WStride)
-    return false;
-  StrideOut = CStride;
-  return true;
+    return Img;
+  Img.Match = Order.SwapWidth ? HostImage::Reversed : HostImage::Identical;
+  Img.SwapWidth = Order.SwapWidth;
+  Img.Stride = CStride;
+  return Img;
 }
 
 //===----------------------------------------------------------------------===//
@@ -318,10 +346,10 @@ bool flick::presBitIdentical(const PresNode *Elem, const WireLayout &L,
 //===----------------------------------------------------------------------===//
 //
 // A lockstep wire/host walk that mirrors LayoutMeasurer::walkNew on the
-// wire side.  It differs from walkBitIdentical in one load-bearing rule:
+// wire side.  It differs from walkHostImage in one load-bearing rule:
 // struct tails pad only the *host* side here, because walkNew lays struct
 // members inline with no tail padding, whereas array elements (where
-// walkBitIdentical is used) stride over the padded size on both sides.
+// walkHostImage is used) stride over the padded size on both sides.
 // Tail divergence then shows up as a later leaf-offset mismatch or as a
 // final HostSize != WireSize, which denseBitIdentical rejects.
 
@@ -795,11 +823,6 @@ bool flick::gatherableSegment(const PresNode *P, const WireLayout &L,
     return true;
   // The wider cases are the memcpy pass's bulk copies: without that pass
   // the emitter marshals per element and there is no copy to replace.
-  if (!MemcpyOn)
-    return false;
-  if (isAtomicMint(EM) && L.hostIdentical(EM))
-    return true;
-  uint64_t Stride = 0;
-  return classifyPres(Elem) != PKind::Scalar && Elem->ctype() &&
-         presBitIdentical(Elem, L, Stride);
+  // Swap copies stay copies: the wire bytes are not the presented ones.
+  return MemcpyOn && elemImageOf(Elem, L).Match == HostImage::Identical;
 }

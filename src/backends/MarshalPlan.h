@@ -15,7 +15,7 @@
 /// owns every chunkAddr/putWire/getWire detail.
 ///
 /// This header also hosts the shared layout analyses (fixed-size
-/// measurement, host/wire bit-identity, memcpy run merging) so the
+/// measurement, host/wire element images, memcpy run merging) so the
 /// builder, the passes, and the emitter agree on one set of predicates --
 /// the invariant that keeps plan annotations and emitted code in sync.
 ///
@@ -101,9 +101,10 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
-// Aggregate bit-identity (USC-style extension; the paper's §3.2 future
-// work): a presented aggregate whose host-C layout matches its wire
-// layout byte for byte may be block-copied whole.
+// Element host images (USC-style extension; the paper's §3.2 future
+// work): an array element whose host-C layout matches its wire layout
+// byte for byte may be block-copied whole, and one that matches except
+// for byte order may be swap-copied whole.
 //===----------------------------------------------------------------------===//
 
 /// Host-C size/alignment of a presented scalar (System V x86-64-ish
@@ -117,16 +118,22 @@ struct CScalar {
 
 CScalar hostScalarOf(const PresNode *P);
 
-/// Walks wire and host layouts in lockstep; true when every scalar lands
-/// at the same offset with the same size and no byte swap, i.e. the
-/// encoded bytes equal the in-memory bytes.
-bool walkBitIdentical(const PresNode *P, const WireLayout &L, uint64_t &WOff,
-                      uint64_t &COff, unsigned &CAlign);
+/// How arrays of one element type may move between host and wire.
+struct ElemImage {
+  /// Identical: every scalar lands at the same offset with the same size
+  /// and no byte swap, so the array is one `memcpy`.  Reversed: the same,
+  /// except that every scalar is byte-swapped and all share SwapWidth,
+  /// so the array is one flick_swap_copy_u<8*SwapWidth>.  Differs:
+  /// padding, mixed widths, or widened scalars; marshal per element.
+  HostImage Match = HostImage::Differs;
+  unsigned SwapWidth = 0; ///< the one scalar width when Reversed
+  uint64_t Stride = 0;    ///< shared host/wire stride unless Differs
+};
 
-/// True when arrays of \p Elem may be copied whole with memcpy under
-/// \p L; \p StrideOut receives the shared element stride.
-bool presBitIdentical(const PresNode *Elem, const WireLayout &L,
-                      uint64_t &StrideOut);
+/// Walks the wire and host layouts of \p Elem in lockstep and classifies
+/// arrays of it under \p L.  An aggregate without a C type is Differs:
+/// its block copy could not carry the generated layout static_assert.
+ElemImage elemImageOf(const PresNode *Elem, const WireLayout &L);
 
 //===----------------------------------------------------------------------===//
 // Memcpy run merging

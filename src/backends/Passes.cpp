@@ -33,7 +33,8 @@ const std::vector<PassInfo> &flick::passRegistry() {
       {"chunk", "coalesce fixed-size segments into single-check chunks "
                 "with chunk-pointer addressing",
        [](const BackendOptions &O) { return O.Chunk; }},
-      {"memcpy", "block-copy bit-identical arrays and dense chunk members",
+      {"memcpy", "block-copy bit-identical arrays and dense chunk members; "
+                 "swap-copy byte-reversed arrays in one kernel call",
        [](const BackendOptions &O) { return O.Memcpy; }},
       {"gather", "rewrite large dense copies into by-reference "
                  "scatter-gather segments (flick_iov)",

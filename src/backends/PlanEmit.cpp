@@ -480,24 +480,27 @@ void StubGen::emitFixedInChunk(const PresNode *P, CastExpr *Val,
     }
     if (isAtomicMint(EM)) {
       unsigned S = Layout.atomSize(EM);
-      unsigned HostS = S; // hostIdentical implies sizes match
       ChunkOff = alignUpTo(ChunkOff, Layout.atomAlign(EM));
-      CastExpr *Addr = chunkAddr(B, ChunkVar, ChunkOff);
-      if (options().Memcpy && Layout.hostIdentical(EM)) {
-        if (Encode)
+      ElemImage Img =
+          options().Memcpy ? elemImageOf(Elem, Layout) : ElemImage();
+      if (Img.Match != HostImage::Differs) {
+        // Same-size atoms, so the host and wire arrays are N * S bytes.
+        CastExpr *Addr = chunkAddr(B, ChunkVar, ChunkOff);
+        if (Img.Match == HostImage::Reversed)
           stmt(B.exprStmt(
-              B.call("memcpy", {Addr, Val, B.unum(N * HostS)})));
+              swapCopyCall(Img.SwapWidth, Addr, Val, B.unum(N), Encode)));
+        else if (Encode)
+          stmt(B.exprStmt(B.call("memcpy", {Addr, Val, B.unum(N * S)})));
         else
           stmt(B.exprStmt(B.call(
               "memcpy", {Val, B.castTo(B.constPtr(B.voidTy()), Addr),
-                         B.unum(N * HostS)})));
+                         B.unum(N * S)})));
         ChunkOff += N * S;
         return;
       }
-      // Endian-mismatched arrays marshal through an element loop with
-      // chunk-relative addressing; with the single coalesced space check
-      // the compiler vectorizes it to a byte-swapping block copy (the
-      // modern equivalent of the paper's USC-style swap copy).
+      // Widened atoms (XDR shorts and bools), or the memcpy pass turned
+      // off: an element loop with chunk-relative addressing under the
+      // chunk's one space check.
       uint64_t Stride = S;
       std::string IV = freshVar("_i");
       uint64_t BaseOff = ChunkOff;
@@ -716,22 +719,29 @@ void StubGen::emitStruct(const PresStruct *P, CastExpr *Val, bool Encode) {
 // Arrays
 //===----------------------------------------------------------------------===//
 
-/// The encode-side bulk copy of NB bytes from BaseE.  Outside a GatherRef
-/// step this is exactly the historical ensure+grab+memcpy.  Inside one,
-/// the copy becomes the else-branch of a runtime size test: at or above
-/// the gather threshold the bytes are *borrowed* via flick_buf_ref and the
-/// transport gathers them at send time, so the payload is never copied
-/// into the marshal buffer at all.
-void StubGen::emitBulkEncode(const std::string &NB, CastExpr *BaseE) {
+/// The encode-side bulk copy of NB bytes from BaseE: a memcpy, or a swap
+/// copy of NB / SwapWidth words.  Outside a GatherRef step this is the
+/// ensure+grab+copy, with the copy skipped for an empty array (whose
+/// presented buffer may be null).  Inside one, a memcpy becomes the
+/// else-branch of a runtime size test: at or above the gather threshold
+/// the bytes are *borrowed* via flick_buf_ref and the transport gathers
+/// them at send time, so the payload is never copied into the marshal
+/// buffer at all.
+void StubGen::emitBulkEncode(const std::string &NB, CastExpr *BaseE,
+                             unsigned SwapWidth) {
   auto PlainCopy = [&] {
     if (NoEnsure == 0)
       checkCall(B.call("flick_buf_ensure", {bufExpr(), B.id(NB)}),
                 "FLICK_ERR_ALLOC");
-    stmt(B.exprStmt(B.call(
-        "memcpy",
-        {B.call("flick_buf_grab", {bufExpr(), B.id(NB)}), BaseE, B.id(NB)})));
+    CastExpr *Wire = B.call("flick_buf_grab", {bufExpr(), B.id(NB)});
+    CastExpr *Copy =
+        SwapWidth
+            ? swapCopyCall(SwapWidth, Wire, BaseE,
+                           B.bin("/", B.id(NB), B.unum(SwapWidth)), true)
+            : B.call("memcpy", {Wire, BaseE, B.id(NB)});
+    stmt(B.ifStmt(B.ne(B.id(NB), B.num(0)), B.exprStmt(Copy)));
   };
-  if (GatherMin == 0) {
+  if (GatherMin == 0 || SwapWidth) {
     PlainCopy();
     return;
   }
@@ -745,6 +755,16 @@ void StubGen::emitBulkEncode(const std::string &NB, CastExpr *BaseE) {
   Cur = SaveCur;
   stmt(B.ifStmt(B.bin(">=", B.id(NB), B.unum(GatherMin)), B.block(Then),
                 B.block(Else)));
+}
+
+CastExpr *StubGen::swapCopyCall(unsigned SwapWidth, CastExpr *Wire,
+                                CastExpr *Host, CastExpr *Words,
+                                bool Encode) {
+  std::string Fn = "flick_swap_copy_u" + std::to_string(8 * SwapWidth);
+  if (Encode)
+    return B.call(Fn, {Wire, B.castTo(B.constPtr(B.prim("uint8_t")), Host),
+                       Words});
+  return B.call(Fn, {B.castTo(B.ptr(B.prim("uint8_t")), Host), Wire, Words});
 }
 
 /// Shared element path once a destination/source base pointer and runtime
@@ -774,65 +794,47 @@ void StubGen::emitArrayElems(const PresNode *Elem, CastExpr *BaseE,
     return;
   }
 
-  if (isAtomicMint(EM)) {
-    unsigned S = Layout.atomSize(EM);
-    const auto *I = dyn_cast<MintInteger>(EM);
-    bool SizeMatch = !I || I->bits() / 8 == S;
-    std::string NB = freshVar("_nb");
-    if (options().Memcpy && Layout.hostIdentical(EM)) {
-      stmt(B.varDecl(B.prim("size_t"), NB,
-                     B.mul(B.castTo(B.prim("size_t"), CountE), B.unum(S))));
-      if (Encode) {
-        emitBulkEncode(NB, BaseE);
-      } else {
-        checkAvail(B.id(NB));
-        stmt(B.exprStmt(B.call(
-            "memcpy",
-            {BaseE,
-             B.castTo(B.constPtr(B.voidTy()),
-                      B.call("flick_buf_take", {bufExpr(), B.id(NB)})),
-             B.id(NB)})));
-      }
-      alignTo(CA);
-      return;
-    }
-    (void)S;
-    (void)SizeMatch;
-  }
-
-  // USC-style aggregate block copy (the paper's §3.2 future work): when
-  // the element's host layout is bit-identical to its wire layout, whole
-  // arrays of aggregates move with one memcpy.  A static_assert in the
-  // generated code pins the ABI assumption.
-  uint64_t IdStride = 0;
-  if (options().Memcpy && classifyPres(Elem) != PKind::Scalar &&
-      Elem->ctype() && presBitIdentical(Elem, Layout, IdStride)) {
-    stmt(B.rawStmt("static_assert(sizeof(" +
-                   printCastType(Elem->ctype(), "") + ") == " +
-                   std::to_string(IdStride) +
-                   ", \"wire/host layout assumption\");"));
+  // Block copy (paper §3.2, and USC-style for aggregates, the paper's
+  // future work): elements whose host image is the wire image move as one
+  // memcpy, and elements whose image differs only in byte order as one
+  // swap copy.  A static_assert in the generated code pins the aggregate
+  // ABI assumption.
+  ElemImage Img = options().Memcpy ? elemImageOf(Elem, Layout) : ElemImage();
+  if (Img.Match != HostImage::Differs) {
+    if (classifyPres(Elem) != PKind::Scalar)
+      stmt(B.rawStmt("static_assert(sizeof(" +
+                     printCastType(Elem->ctype(), "") + ") == " +
+                     std::to_string(Img.Stride) +
+                     ", \"wire/host layout assumption\");"));
     std::string NB = freshVar("_nb");
     stmt(B.varDecl(
         B.prim("size_t"), NB,
-        B.mul(B.castTo(B.prim("size_t"), CountE), B.unum(IdStride))));
+        B.mul(B.castTo(B.prim("size_t"), CountE), B.unum(Img.Stride))));
     if (Encode) {
-      emitBulkEncode(NB, BaseE);
+      emitBulkEncode(NB, BaseE, Img.SwapWidth);
     } else {
       checkAvail(B.id(NB));
-      stmt(B.exprStmt(B.call(
-          "memcpy",
-          {BaseE,
-           B.castTo(B.constPtr(B.voidTy()),
-                    B.call("flick_buf_take", {bufExpr(), B.id(NB)})),
-           B.id(NB)})));
+      CastExpr *Wire = B.call("flick_buf_take", {bufExpr(), B.id(NB)});
+      if (Img.SwapWidth)
+        stmt(B.exprStmt(swapCopyCall(
+            Img.SwapWidth, Wire, BaseE,
+            B.bin("/", B.id(NB), B.unum(Img.SwapWidth)), false)));
+      else
+        stmt(B.exprStmt(B.call(
+            "memcpy",
+            {BaseE, B.castTo(B.constPtr(B.voidTy()), Wire), B.id(NB)})));
     }
     alignTo(CA);
     return;
   }
+  // Atom arrays that loop still reserve the block copy's `_nb` name: the
+  // stub goldens pin the numbering of the locals after it.
+  if (isAtomicMint(EM))
+    freshVar("_nb");
 
   // Fixed-size elements: one space check for the whole array, then a loop
-  // with chunk-relative addressing (this is how the paper's rectangle
-  // arrays marshal).
+  // with chunk-relative addressing (how the paper's rectangle arrays
+  // marshal when they cannot block-copy).
   LayoutMeasurer M(Layout);
   FixedLayout EL = M.measure(Elem);
   if (options().Chunk && EL.IsFixed && !presContainsUnion(Elem) &&

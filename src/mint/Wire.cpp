@@ -75,27 +75,27 @@ bool WireLayout::needsSwap(const MintType *T) const {
   return false;
 }
 
-bool WireLayout::hostIdentical(const MintType *T) const {
+HostImage WireLayout::hostImage(const MintType *T) const {
+  // XDR widens sub-word integers, chars and bools to 4 bytes, so only its
+  // 4- and 8-byte kinds keep their size -- and on a little-endian host
+  // those are reversed.  The runtime presents booleans as one byte.
+  unsigned HostSize = 1;
   switch (T->kind()) {
   case MintType::Kind::Integer:
-  case MintType::Kind::Float: {
-    // Identical when the encoded size matches the C type's size and no
-    // byte swap is required.  XDR widens sub-word integers, so only the
-    // 4- and 8-byte kinds can match there -- and on a little-endian host
-    // they still need a swap.
-    const auto *I = dyn_cast<MintInteger>(T);
-    unsigned HostSize = I ? I->bits() / 8 : cast<MintFloat>(T)->bits() / 8;
-    return atomSize(T) == HostSize && !needsSwap(T);
-  }
+    HostSize = cast<MintInteger>(T)->bits() / 8;
+    break;
+  case MintType::Kind::Float:
+    HostSize = cast<MintFloat>(T)->bits() / 8;
+    break;
   case MintType::Kind::Char:
-    return atomSize(T) == 1;
   case MintType::Kind::Boolean:
-    // The runtime presents booleans as one byte; only 1-byte encodings of
-    // bool are bit-identical.
-    return atomSize(T) == 1;
+    break;
   default:
-    return false;
+    return HostImage::Differs;
   }
+  if (atomSize(T) != HostSize)
+    return HostImage::Differs;
+  return needsSwap(T) ? HostImage::Reversed : HostImage::Identical;
 }
 
 std::string WireLayout::primitiveFamily() const {

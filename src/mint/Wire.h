@@ -43,6 +43,17 @@ enum class WireKind {
 /// Returns a stable lowercase name ("xdr", "cdr-le", ...).
 const char *wireKindName(WireKind K);
 
+/// How an atom's encoded bytes relate to its host in-memory bytes.
+enum class HostImage {
+  /// Bit-identical: arrays may be copied with `memcpy` (paper §3.2).
+  Identical,
+  /// Same size, opposite byte order: arrays may be copied with a
+  /// byte-swapping block copy.
+  Reversed,
+  /// Widened or otherwise re-encoded: each value needs its own conversion.
+  Differs,
+};
+
 /// Byte-level layout rules for one encoding.  All queries are per atomic
 /// MINT type; aggregates are laid out by concatenation with alignment.
 class WireLayout {
@@ -57,10 +68,14 @@ public:
   /// Required alignment (relative to message start) of an atomic value.
   unsigned atomAlign(const MintType *T) const;
 
-  /// True when the encoded representation of \p T is bit-identical to the
-  /// host's in-memory representation, making `memcpy` of arrays legal
-  /// (paper §3.2).  Depends on host endianness.
-  bool hostIdentical(const MintType *T) const;
+  /// How the encoded representation of \p T relates to the host's
+  /// in-memory one.  Depends on host endianness.
+  HostImage hostImage(const MintType *T) const;
+
+  /// True when arrays of \p T may be copied with `memcpy`.
+  bool hostIdentical(const MintType *T) const {
+    return hostImage(T) == HostImage::Identical;
+  }
 
   /// Size in bytes of an array/string length word.
   unsigned lengthWordSize() const { return 4; }

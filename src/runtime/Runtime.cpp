@@ -8,6 +8,9 @@
 #include "runtime/flick_runtime.h"
 #include "runtime/Channel.h"
 #include "runtime/Sampler.h"
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 int flick_buf_grow(flick_buf *b, size_t need) {
   size_t want = b->len + need;
@@ -25,19 +28,94 @@ int flick_buf_grow(flick_buf *b, size_t need) {
   return FLICK_OK;
 }
 
+//===----------------------------------------------------------------------===//
+// Swap-copy kernel
+//===----------------------------------------------------------------------===//
+//
+// One kernel per word width W moves byte-reversed arrays for the compiled
+// stubs and the specializer's swap stencils.  The AVX2 body reverses 32
+// bytes per pshufb and finishes with the scalar loop; CPUs without AVX2
+// run the scalar loop alone.  The body is chosen once at load time.  GCC
+// function multiversioning would dispatch only in translation units that
+// see every version, and generated stubs see just the declaration.
+
+namespace {
+
+template <unsigned W> void swapOne(uint8_t *Dst, const uint8_t *Src) {
+  if constexpr (W == 2)
+    flick_enc_u16be(Dst, flick_dec_u16le(Src));
+  else if constexpr (W == 4)
+    flick_enc_u32be(Dst, flick_dec_u32le(Src));
+  else
+    flick_enc_u64be(Dst, flick_dec_u64le(Src));
+}
+
+/// Swaps bytes [\p From, \p Bytes) one word at a time; touches nothing
+/// when the range is empty.
+template <unsigned W>
+void swapScalar(uint8_t *Dst, const uint8_t *Src, size_t From, size_t Bytes) {
+  for (size_t I = From; I != Bytes; I += W)
+    swapOne<W>(Dst + I, Src + I);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+/// pshufb control reversing every W-byte word of a 16-byte lane.
+template <unsigned W> struct SwapMask {
+  alignas(16) uint8_t Bytes[16] = {};
+  constexpr SwapMask() {
+    for (unsigned I = 0; I != 16; ++I)
+      Bytes[I] = static_cast<uint8_t>(I / W * W + (W - 1 - I % W));
+  }
+};
+
+template <unsigned W>
+__attribute__((target("avx2"))) void swapAvx2(uint8_t *Dst, const uint8_t *Src,
+                                              size_t Bytes) {
+  static constexpr SwapMask<W> M;
+  const __m256i Mask = _mm256_broadcastsi128_si256(
+      _mm_load_si128(reinterpret_cast<const __m128i *>(M.Bytes)));
+  size_t I = 0;
+  for (; Bytes - I >= 32; I += 32) {
+    __m256i V = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Src + I));
+    _mm256_storeu_si256(reinterpret_cast<__m256i *>(Dst + I),
+                        _mm256_shuffle_epi8(V, Mask));
+  }
+  swapScalar<W>(Dst, Src, I, Bytes);
+}
+
+bool cpuHasAvx2() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2");
+}
+
+/// Set during static initialization.  A call from an earlier initializer
+/// reads false and takes the scalar body, which is just as correct.
+const bool HasAvx2 = cpuHasAvx2();
+#endif
+
+template <unsigned W>
+void swapCopy(uint8_t *Dst, const uint8_t *Src, size_t Words) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (HasAvx2) {
+    swapAvx2<W>(Dst, Src, Words * W);
+    return;
+  }
+#endif
+  swapScalar<W>(Dst, Src, 0, Words * W);
+}
+
+} // namespace
+
 void flick_swap_copy_u16(uint8_t *dst, const uint8_t *src, size_t halves) {
-  for (size_t i = 0; i != halves; ++i)
-    flick_enc_u16be(dst + 2 * i, flick_dec_u16le(src + 2 * i));
+  swapCopy<2>(dst, src, halves);
 }
 
 void flick_swap_copy_u32(uint8_t *dst, const uint8_t *src, size_t words) {
-  for (size_t i = 0; i != words; ++i)
-    flick_enc_u32be(dst + 4 * i, flick_dec_u32le(src + 4 * i));
+  swapCopy<4>(dst, src, words);
 }
 
 void flick_swap_copy_u64(uint8_t *dst, const uint8_t *src, size_t dwords) {
-  for (size_t i = 0; i != dwords; ++i)
-    flick_enc_u64be(dst + 8 * i, flick_dec_u64le(src + 8 * i));
+  swapCopy<8>(dst, src, dwords);
 }
 
 namespace {

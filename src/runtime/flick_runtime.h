@@ -472,8 +472,11 @@ inline double flick_bits_f64(uint64_t v) {
   return d;
 }
 
-/// Byte-swaps a whole array of 32-bit words while copying; the fallback for
-/// arrays whose wire format differs from host format only by endianness.
+/// Copies \p words 32-bit words from \p src to \p dst, reversing the bytes
+/// of each: the block copy for arrays whose wire format differs from host
+/// format only by byte order.  The ranges must not overlap and need no
+/// alignment.  A count of 0 touches no memory, so both pointers may then
+/// be null.  The u16 and u64 forms are the same for 2- and 8-byte words.
 void flick_swap_copy_u32(uint8_t *dst, const uint8_t *src, size_t words);
 void flick_swap_copy_u16(uint8_t *dst, const uint8_t *src, size_t halves);
 void flick_swap_copy_u64(uint8_t *dst, const uint8_t *src, size_t dwords);

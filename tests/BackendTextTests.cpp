@@ -9,8 +9,9 @@
 /// Asserts structural properties of the generated C text: that the
 /// optimizations of paper §3 actually show up in the code (one coalesced
 /// buffer check per fixed segment, chunk-pointer addressing, memcpy for
-/// bit-identical arrays, switch-based demux, word-at-a-time name matching)
-/// and disappear when their flags are off.
+/// bit-identical arrays and swap copies for byte-reversed ones,
+/// switch-based demux, word-at-a-time name matching) and disappear when
+/// their flags are off.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -110,19 +111,21 @@ TEST(BackendText, MemcpyForBitIdenticalArrays) {
       << Body;
 }
 
-TEST(BackendText, SwapArraysGetSingleCheckAndLoop) {
-  // XDR int arrays on a little-endian host: one coalesced space check,
-  // then a chunk-relative element loop the compiler vectorizes into a
-  // byte-swapping block copy.
-  auto Out = gen(R"(
+const char *XdrIntSeqIdl = R"(
     typedef int s<>;
-    program P { version V { void F(s) = 1; } = 1; } = 1;)",
-                 true, "xdr");
+    program P { version V { void F(s) = 1; } = 1; } = 1;)";
+
+TEST(BackendText, SwapArraysGetSingleCheckAndSwapCopy) {
+  // XDR int arrays on a little-endian host: one coalesced space check,
+  // then one byte-swapping block copy of the whole array.
+  auto Out = gen(XdrIntSeqIdl, true, "xdr");
   std::string Body = functionBody(Out.Header, "f_1_encode_request");
-  EXPECT_NE(Body.find("for ("), std::string::npos) << Body;
+  EXPECT_EQ(countOccurrences(Body, "flick_swap_copy_u32("), 1u) << Body;
+  EXPECT_EQ(Body.find("for ("), std::string::npos)
+      << "int arrays must not marshal element by element:\n"
+      << Body;
   // Header + length word + ONE whole-array ensure: no per-element checks.
   EXPECT_LE(countOccurrences(Body, "flick_buf_ensure"), 3u) << Body;
-  EXPECT_NE(Body.find("flick_enc_u32be"), std::string::npos);
 }
 
 TEST(BackendText, NoMemcpyFlagFallsBackToLoops) {
@@ -133,6 +136,16 @@ TEST(BackendText, NoMemcpyFlagFallsBackToLoops) {
                  false, "iiop", O);
   std::string Body = functionBody(Out.Header, "I_f_encode_request");
   EXPECT_NE(Body.find("for ("), std::string::npos) << Body;
+}
+
+TEST(BackendText, NoMemcpyFlagKeepsXdrSwapLoops) {
+  BackendOptions O;
+  O.Memcpy = false;
+  auto Out = gen(XdrIntSeqIdl, true, "xdr", O);
+  std::string Body = functionBody(Out.Header, "f_1_encode_request");
+  EXPECT_NE(Body.find("for ("), std::string::npos) << Body;
+  EXPECT_NE(Body.find("flick_enc_u32be"), std::string::npos) << Body;
+  EXPECT_EQ(Body.find("flick_swap_copy"), std::string::npos) << Body;
 }
 
 TEST(BackendText, DispatchUsesSwitchOnProcedureNumber) {
@@ -304,6 +317,29 @@ TEST(BackendText, AggregateArraysBlockCopyWhenBitIdentical) {
       << Body;
   EXPECT_EQ(Body.find("for ("), std::string::npos)
       << "bit-identical struct arrays must not loop" << Body;
+}
+
+TEST(BackendText, ByteReversedAggregateArraysSwapCopyWhole) {
+  // XDR struct arrays whose every scalar is a same-width word land at the
+  // host offsets in reversed byte order: one swap copy, under the same
+  // static_assert as the memcpy case.
+  auto Out = gen(R"(
+    struct Pt { long x; long y; };
+    struct R { Pt min; Pt max; };
+    typedef sequence<R> Rs;
+    typedef sequence<long long> Hs;
+    interface I { void f(in Rs v); void g(in Hs h); };)",
+                 false, "xdr");
+  std::string Body = functionBody(Out.Header, "I_f_encode_request");
+  EXPECT_NE(Body.find("static_assert(sizeof(R) == 16"), std::string::npos)
+      << Body;
+  EXPECT_EQ(countOccurrences(Body, "flick_swap_copy_u32("), 1u) << Body;
+  EXPECT_EQ(Body.find("for ("), std::string::npos) << Body;
+  Body = functionBody(Out.Header, "I_f_decode_request");
+  EXPECT_EQ(countOccurrences(Body, "flick_swap_copy_u32("), 1u) << Body;
+  EXPECT_EQ(Body.find("for ("), std::string::npos) << Body;
+  Body = functionBody(Out.Header, "I_g_encode_request");
+  EXPECT_EQ(countOccurrences(Body, "flick_swap_copy_u64("), 1u) << Body;
 }
 
 TEST(BackendText, MixedLayoutAggregatesStillLoop) {

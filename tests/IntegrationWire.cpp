@@ -127,6 +127,26 @@ TEST(WireEquivalence, OptimizedRequestDecodesThroughNaiveServer) {
   flick_arena_destroy(&Srv.arena);
 }
 
+TEST(WireEquivalence, EmptyArrayWithNullBufferRoundTrips) {
+  // An empty array may present a null buffer; the encoder must skip its
+  // block copy rather than pass null to it, and the server must decode
+  // the zero count.
+  F_intseq S{0, nullptr};
+  flick_buf B;
+  flick_buf_init(&B);
+  ASSERT_EQ(F_send_ints_1_encode_request(&B, 5, &S), FLICK_OK);
+  EXPECT_EQ(B.len, 44u); // call header + a zero length word
+  flick_buf Rep;
+  flick_buf_init(&Rep);
+  flick_server Srv{};
+  GotInts = {1};
+  EXPECT_EQ(F_BENCHPROG_dispatch(&Srv, &B, &Rep), FLICK_OK);
+  EXPECT_TRUE(GotInts.empty());
+  flick_buf_destroy(&B);
+  flick_buf_destroy(&Rep);
+  flick_arena_destroy(&Srv.arena);
+}
+
 TEST(WireFormat, XdrMessagesAreWordAligned) {
   char Name[] = "ab"; // 2 chars forces XDR string padding
   F_dirent D{};

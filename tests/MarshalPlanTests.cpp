@@ -328,6 +328,60 @@ TEST(MemcpyRuns, TinySubtreesAreNotWorthABlockCopy) {
 }
 
 //===----------------------------------------------------------------------===//
+// Element host images
+//===----------------------------------------------------------------------===//
+//
+// These cases read the suite's little-endian hosts: XDR reverses every
+// 4- and 8-byte scalar there, CDR-LE keeps them bit-identical.
+
+TEST(ElemImage, SameWidthScalarsAreReversedUnderXdr) {
+  PresFixture F;
+  PresStruct *Rect = F.structOf(
+      "R", {{"a", F.i32()}, {"b", F.i32()}, {"c", F.arrOf(F.i32(), 2)}});
+  ElemImage Img = elemImageOf(Rect, WireLayout(WireKind::Xdr));
+  EXPECT_EQ(Img.Match, HostImage::Reversed);
+  EXPECT_EQ(Img.SwapWidth, 4u);
+  EXPECT_EQ(Img.Stride, 16u);
+
+  Img = elemImageOf(F.i64(), WireLayout(WireKind::Xdr));
+  EXPECT_EQ(Img.Match, HostImage::Reversed);
+  EXPECT_EQ(Img.SwapWidth, 8u);
+  EXPECT_EQ(Img.Stride, 8u);
+}
+
+TEST(ElemImage, BitIdenticalUnderCdrWhateverTheWidths) {
+  PresFixture F;
+  PresStruct *S =
+      F.structOf("S", {{"a", F.i64()}, {"b", F.i32()}, {"c", F.i32()}});
+  ElemImage Img = elemImageOf(S, WireLayout(WireKind::CdrLE));
+  EXPECT_EQ(Img.Match, HostImage::Identical);
+  EXPECT_EQ(Img.SwapWidth, 0u);
+  EXPECT_EQ(Img.Stride, 16u);
+}
+
+TEST(ElemImage, MixedWidthsOrPaddingDiffer) {
+  PresFixture F;
+  // Equal offsets and no padding, but one swap cannot serve two widths.
+  PresStruct *Mixed =
+      F.structOf("M", {{"a", F.i64()}, {"b", F.i32()}, {"c", F.i32()}});
+  EXPECT_EQ(elemImageOf(Mixed, WireLayout(WireKind::Xdr)).Match,
+            HostImage::Differs);
+  // { int32; int64; }: XDR puts b at 4, the host at 8.
+  PresStruct *Padded = F.structOf("P", {{"a", F.i32()}, {"b", F.i64()}});
+  EXPECT_EQ(elemImageOf(Padded, WireLayout(WireKind::Xdr)).Match,
+            HostImage::Differs);
+  // XDR widens a 16-bit integer to a 4-byte unit.
+  PresPrim *Short =
+      F.P.make<PresPrim>(F.P.Mint.integer(16, true), F.B.prim("int16_t"));
+  EXPECT_EQ(elemImageOf(Short, WireLayout(WireKind::Xdr)).Match,
+            HostImage::Differs);
+  // CDR big-endian keeps it 2 bytes: a 2-byte swap.
+  ElemImage Img = elemImageOf(Short, WireLayout(WireKind::CdrBE));
+  EXPECT_EQ(Img.Match, HostImage::Reversed);
+  EXPECT_EQ(Img.SwapWidth, 2u);
+}
+
+//===----------------------------------------------------------------------===//
 // Gather pass: large dense segments go by reference
 //===----------------------------------------------------------------------===//
 
