@@ -204,8 +204,11 @@ int encodeNode(flick_buf *Buf, const InterpType &T, const void *Val,
   return FLICK_ERR_DECODE;
 }
 
+/// Decodes \p T, which sits \p Depth nodes deep (the root is 1).
 int decodeNode(flick_buf *Buf, const InterpType &T, void *Val,
-               const InterpWire &W, flick_arena *Ar) {
+               const InterpWire &W, flick_arena *Ar, unsigned Depth) {
+  if (Depth > FLICK_INTERP_MAX_NEST)
+    return FLICK_ERR_DECODE;
   flick_metric_add(&flick_metrics::interp_decodes, 1);
   flick_metric_add(&flick_metrics::interp_dispatches, 1);
   uint8_t *V = static_cast<uint8_t *>(Val);
@@ -234,13 +237,14 @@ int decodeNode(flick_buf *Buf, const InterpType &T, void *Val,
   }
   case InterpType::Kind::Struct:
     for (const InterpType &F : T.Fields)
-      if (int Err = decodeNode(Buf, F, V, W, Ar))
+      if (int Err = decodeNode(Buf, F, V, W, Ar, Depth + 1))
         return Err;
     return FLICK_OK;
   case InterpType::Kind::FixedArray: {
     uint8_t *Base = V + T.Offset;
     for (size_t I = 0; I != T.Count; ++I)
-      if (int Err = decodeNode(Buf, *T.Elem, Base + I * T.HostStride, W, Ar))
+      if (int Err = decodeNode(Buf, *T.Elem, Base + I * T.HostStride, W, Ar,
+                               Depth + 1))
         return Err;
     return FLICK_OK;
   }
@@ -248,14 +252,17 @@ int decodeNode(flick_buf *Buf, const InterpType &T, void *Val,
     uint32_t Len;
     if (int Err = getU32(Buf, W, &Len))
       return Err;
-    if (Len > (1u << 28))
+    // The compiled stubs' rule: no more elements than bytes left, checked
+    // before the count sizes an allocation.
+    if (Len > (1u << 28) || !flick_buf_check(Buf, Len))
       return FLICK_ERR_DECODE;
     uint8_t *Base = static_cast<uint8_t *>(
         flick_arena_alloc(Ar, (size_t(Len) + 1) * T.HostStride));
     if (!Base)
       return FLICK_ERR_ALLOC;
     for (uint32_t I = 0; I != Len; ++I)
-      if (int Err = decodeNode(Buf, *T.Elem, Base + I * T.HostStride, W, Ar))
+      if (int Err = decodeNode(Buf, *T.Elem, Base + I * T.HostStride, W, Ar,
+                               Depth + 1))
         return Err;
     std::memcpy(V + T.LenOffset, &Len, 4);
     *reinterpret_cast<uint8_t **>(V + T.BufOffset) = Base;
@@ -289,7 +296,7 @@ int flick::flick_interp_decode(flick_buf *Buf, const InterpType &T,
     if (const flick_spec_program *P = flick_specialize(T, W))
       return flick_spec_decode(Buf, P, Val, Ar);
   size_t Pos0 = Buf->pos;
-  int Err = decodeNode(Buf, T, Val, W, Ar);
+  int Err = decodeNode(Buf, T, Val, W, Ar, 1);
   if (flick_metrics_active) {
     flick_metrics_active->bytes_copied += Buf->pos - Pos0;
     ++flick_metrics_active->copy_ops;

@@ -64,6 +64,13 @@ struct InterpType {
                             const InterpType *Elem, size_t HostStride);
 };
 
+/// Decode nesting limit: the interpreter follows at most this many nested
+/// nodes, the root counting as one, and fails deeper input with
+/// FLICK_ERR_DECODE instead of exhausting the stack.  Only a recursive
+/// type (an Elem leading back to an enclosing node) nests this deep, so
+/// for it the limit bounds how deeply a decoded value may nest.
+enum { FLICK_INTERP_MAX_NEST = 1024 };
+
 /// Wire conventions for the interpreter.
 struct InterpWire {
   bool BigEndian = true;   ///< XDR; false = CDR-LE
@@ -80,8 +87,11 @@ int flick_interp_encode(flick_buf *Buf, const InterpType &T,
                         bool Specialize = false);
 
 /// Decodes from \p Buf into the C value \p Val (pointer members are heap
-/// allocated, or arena-allocated when \p Ar is non-null).  \p Specialize
-/// as for flick_interp_encode.
+/// allocated, or arena-allocated when \p Ar is non-null).  A counted
+/// sequence may claim no more elements than there are bytes left (checked
+/// before its array is allocated), and a value may nest at most
+/// FLICK_INTERP_MAX_NEST nodes deep; other input fails with
+/// FLICK_ERR_DECODE.  \p Specialize as for flick_interp_encode.
 int flick_interp_decode(flick_buf *Buf, const InterpType &T, void *Val,
                         const InterpWire &W, flick_arena *Ar,
                         bool Specialize = false);

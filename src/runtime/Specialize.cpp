@@ -19,18 +19,18 @@
 //              fixed-size region instead of per-field checks (the
 //              bounds-hoisting pass).
 //
-// Programs land in a process-wide cache keyed by the canonical structural
-// serialization of (type tree, wire convention); unspecializable trees
-// cache a null so repeated lookups stay cheap and fall back to the
-// interpreter.
+// Programs land in a process-wide cache keyed by a binary serialization
+// of (wire convention, type tree); unspecializable trees cache a null so
+// repeated lookups stay cheap and fall back to the interpreter.
 //
 //===----------------------------------------------------------------------===//
 
 #include "runtime/Specialize.h"
 #include <chrono>
-#include <cstdio>
+#include <cstring>
 #include <memory>
 #include <mutex>
+#include <string_view>
 #include <unordered_map>
 
 using namespace flick;
@@ -51,6 +51,18 @@ bool scalarNeedsSwap(const InterpWire &W, unsigned HostW) {
 unsigned wireWidth(const InterpWire &W, unsigned Width) {
   return W.XdrWidening && Width < 4 ? 4 : Width;
 }
+
+/// Runaway backstops: a real type program is a few dozen nodes, nested a
+/// few deep, and emits a few dozen ops.  The key builder and lower share
+/// the nesting bound: a tree nested deeper, or with more nodes, than these
+/// (a cyclic one included) keys by a truncated key and is refused.
+enum {
+  FLICK_SPEC_MAX_NEST = 64,
+  FLICK_SPEC_MAX_NODES = 1 << 16,
+  FLICK_SPEC_MAX_OPS = 1 << 16,
+};
+static_assert(int(FLICK_SPEC_MAX_NEST) <= int(FLICK_INTERP_MAX_NEST),
+              "the interpreter must decode what the specializer accepts");
 
 //===----------------------------------------------------------------------===//
 // Step IR
@@ -190,8 +202,11 @@ bool denseRun(const std::vector<Step> &Body, uint64_t Stride,
 // Lowering
 //===----------------------------------------------------------------------===//
 
+/// Lowers \p T, which sits \p Depth nodes deep (the root is 1).
 bool lower(const InterpType &T, uint64_t Base, const InterpWire &W,
-           std::vector<Step> &Out, uint64_t &Fused) {
+           std::vector<Step> &Out, uint64_t &Fused, unsigned Depth) {
+  if (Depth > FLICK_SPEC_MAX_NEST)
+    return false;
   switch (T.K) {
   case InterpType::Kind::Scalar: {
     if (T.Width != 1 && T.Width != 2 && T.Width != 4 && T.Width != 8)
@@ -227,7 +242,7 @@ bool lower(const InterpType &T, uint64_t Base, const InterpWire &W,
   case InterpType::Kind::Struct: {
     size_t First = Out.size();
     for (const InterpType &F : T.Fields)
-      if (!lower(F, Base, W, Out, Fused))
+      if (!lower(F, Base, W, Out, Fused, Depth + 1))
         return false;
     // The struct node's own interpreter visit rides on its first step.
     if (Out.size() > First)
@@ -240,7 +255,7 @@ bool lower(const InterpType &T, uint64_t Base, const InterpWire &W,
     if (T.Count == 0)
       return true; // nothing on the wire
     std::vector<Step> Body;
-    if (!lower(*T.Elem, 0, W, Body, Fused))
+    if (!lower(*T.Elem, 0, W, Body, Fused, Depth + 1))
       return false;
     fuse(Body, W, Fused);
     unsigned SwapW;
@@ -270,7 +285,7 @@ bool lower(const InterpType &T, uint64_t Base, const InterpWire &W,
     if (!T.Elem)
       return false;
     std::vector<Step> Body;
-    if (!lower(*T.Elem, 0, W, Body, Fused))
+    if (!lower(*T.Elem, 0, W, Body, Fused, Depth + 1))
       return false;
     fuse(Body, W, Fused);
     unsigned SwapW;
@@ -526,14 +541,11 @@ bool emitDec(const std::vector<Step> &Steps, const InterpWire &W,
   return true;
 }
 
-/// Runaway backstop: a real type program is a few dozen ops.
-enum { FLICK_SPEC_MAX_OPS = 1 << 16 };
-
 std::unique_ptr<flick_spec_program> compileProgram(const InterpType &T,
                                                    const InterpWire &W) {
   std::vector<Step> Steps;
   uint64_t Fused = 0;
-  if (!lower(T, 0, W, Steps, Fused))
+  if (!lower(T, 0, W, Steps, Fused, 1))
     return nullptr;
   fuse(Steps, W, Fused);
   auto P = std::make_unique<flick_spec_program>();
@@ -552,56 +564,96 @@ std::unique_ptr<flick_spec_program> compileProgram(const InterpType &T,
 // Structural key and program cache
 //===----------------------------------------------------------------------===//
 
-void keyNode(const InterpType &T, std::string &Out) {
-  char Buf[96];
-  switch (T.K) {
-  case InterpType::Kind::Scalar:
-    std::snprintf(Buf, sizeof(Buf), "s%zu.%u%s", T.Offset, T.Width,
-                  T.IsFloat ? "f" : "");
-    Out += Buf;
-    return;
-  case InterpType::Kind::Bytes:
-    std::snprintf(Buf, sizeof(Buf), "b%zu.%zu", T.Offset, T.Count);
-    Out += Buf;
-    return;
-  case InterpType::Kind::CString:
-    std::snprintf(Buf, sizeof(Buf), "c%zu", T.Offset);
-    Out += Buf;
-    return;
-  case InterpType::Kind::Struct:
-    Out += "S(";
-    for (const InterpType &F : T.Fields) {
-      keyNode(F, Out);
-      Out += ",";
-    }
-    Out += ")";
-    return;
-  case InterpType::Kind::FixedArray:
-    std::snprintf(Buf, sizeof(Buf), "A%zu.%zu.%zu(", T.Offset, T.Count,
-                  T.HostStride);
-    Out += Buf;
-    if (T.Elem)
-      keyNode(*T.Elem, Out);
-    else
-      Out += "!";
-    Out += ")";
-    return;
-  case InterpType::Kind::Counted:
-    std::snprintf(Buf, sizeof(Buf), "C%zu.%zu.%zu(", T.LenOffset,
-                  T.BufOffset, T.HostStride);
-    Out += Buf;
-    if (T.Elem)
-      keyNode(*T.Elem, Out);
-    else
-      Out += "!";
-    Out += ")";
-    return;
+/// Key bytes that stand where a node would: an absent Elem, and the cut
+/// where a tree passes a backstop.  A node's own tag is its Kind value.
+enum : uint8_t { KeyNullElem = 0xfe, KeyTruncated = 0xff };
+
+/// A cache key: the serialized (wire convention, tree) and its hash.  Its
+/// storage only grows, so rebuilding a key in place allocates only when a
+/// larger tree than any before comes along.
+struct SpecKey {
+  std::string Bytes; ///< the key is the first Len bytes
+  size_t Len = 0;
+  uint64_t Hash = 0;
+
+  /// Appends \p Vals, each at its fixed host width.
+  template <class... V> void put(V... Vals) {
+    constexpr size_t N = (sizeof(V) + ...);
+    if (Len + N > Bytes.size())
+      Bytes.resize(2 * (Len + N));
+    char *P = Bytes.data() + Len;
+    ((std::memcpy(P, &Vals, sizeof(V)), P += sizeof(V)), ...);
+    Len += N;
   }
+  std::string_view view() const { return {Bytes.data(), Len}; }
+  bool operator==(const SpecKey &O) const {
+    return Hash == O.Hash && view() == O.view();
+  }
+};
+
+struct SpecKeyHash {
+  size_t operator()(const SpecKey &K) const { return K.Hash; }
+};
+
+/// Appends the records of \p T (null for an absent Elem) and its subtree,
+/// which sits \p Depth nodes deep.  A record is the node's kind tag, then
+/// the fields that kind uses.  A struct's field count precedes its fields
+/// and an array's Elem follows its record, so the serialization is
+/// prefix-free: no delimiters, and two trees share one only when every
+/// node matches.  Past a backstop it appends KeyTruncated, stops, and
+/// returns false.
+bool keyNode(const InterpType *T, unsigned Depth, size_t &Nodes, SpecKey &Out) {
+  if (Depth > FLICK_SPEC_MAX_NEST || ++Nodes > FLICK_SPEC_MAX_NODES) {
+    Out.put(KeyTruncated);
+    return false;
+  }
+  if (!T) {
+    Out.put(KeyNullElem);
+    return true;
+  }
+  const uint8_t Tag = static_cast<uint8_t>(T->K);
+  switch (T->K) {
+  case InterpType::Kind::Scalar:
+    Out.put(Tag, T->Offset, T->Width, T->IsFloat);
+    return true;
+  case InterpType::Kind::Bytes:
+    Out.put(Tag, T->Offset, T->Count);
+    return true;
+  case InterpType::Kind::CString:
+    Out.put(Tag, T->Offset);
+    return true;
+  case InterpType::Kind::Struct:
+    Out.put(Tag, T->Fields.size());
+    for (const InterpType &F : T->Fields)
+      if (!keyNode(&F, Depth + 1, Nodes, Out))
+        return false;
+    return true;
+  case InterpType::Kind::FixedArray:
+    Out.put(Tag, T->Offset, T->Count, T->HostStride);
+    return keyNode(T->Elem, Depth + 1, Nodes, Out);
+  case InterpType::Kind::Counted:
+    Out.put(Tag, T->LenOffset, T->BufOffset, T->HostStride);
+    return keyNode(T->Elem, Depth + 1, Nodes, Out);
+  }
+  return false;
 }
+
+/// Rebuilds \p K in place for (\p T, \p W): the wire convention, then
+/// \p T's records, hashed once.  Returns false when the key is truncated.
+bool buildKey(const InterpType &T, const InterpWire &W, SpecKey &K) {
+  K.Len = 0;
+  K.put(uint8_t(W.BigEndian | (W.XdrWidening << 1)));
+  size_t Nodes = 0;
+  bool Whole = keyNode(&T, 1, Nodes, K);
+  K.Hash = std::hash<std::string_view>()(K.view());
+  return Whole;
+}
+
+using ProgramPtr = std::unique_ptr<flick_spec_program>;
 
 struct SpecCache {
   std::mutex Mu;
-  std::unordered_map<std::string, std::unique_ptr<flick_spec_program>> Map;
+  std::unordered_map<SpecKey, ProgramPtr, SpecKeyHash> Map;
 };
 
 SpecCache &cache() {
@@ -613,47 +665,47 @@ SpecCache &cache() {
 
 std::string flick::flick_spec_structural_key(const InterpType &T,
                                              const InterpWire &W) {
-  std::string Key = W.BigEndian ? "be" : "le";
-  Key += W.XdrWidening ? "x:" : "c:";
-  keyNode(T, Key);
-  return Key;
+  SpecKey K;
+  buildKey(T, W, K);
+  return std::string(K.view());
 }
 
 uint64_t flick::flick_spec_structural_hash(const InterpType &T,
                                            const InterpWire &W) {
-  std::string Key = flick_spec_structural_key(T, W);
-  uint64_t H = 1469598103934665603ull; // FNV-1a 64
-  for (char Ch : Key) {
-    H ^= static_cast<uint8_t>(Ch);
-    H *= 1099511628211ull;
-  }
-  return H;
+  SpecKey K;
+  buildKey(T, W, K);
+  return K.Hash;
 }
 
 const flick_spec_program *flick::flick_specialize(const InterpType &T,
                                                   const InterpWire &W) {
-  std::string Key = flick_spec_structural_key(T, W);
+  // The probe keeps its storage, so a hit neither formats nor allocates.
+  thread_local SpecKey Probe;
+  bool Whole = buildKey(T, W, Probe);
   SpecCache &C = cache();
   std::lock_guard<std::mutex> Lock(C.Mu);
-  auto It = C.Map.find(Key);
+  auto It = C.Map.find(Probe);
   if (It != C.Map.end()) {
     flick_metric_add(&flick_metrics::spec_cache_hits, 1);
     return It->second.get(); // null for cached specialization refusals
   }
   auto T0 = std::chrono::steady_clock::now();
-  std::unique_ptr<flick_spec_program> P = compileProgram(T, W);
+  // A truncated key stands for every tree cut off at the same place, so
+  // it may only ever map to a refusal.
+  ProgramPtr P = Whole ? compileProgram(T, W) : nullptr;
   uint64_t Ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - T0)
           .count());
   flick_metric_add(&flick_metrics::spec_compile_ns, Ns);
   if (P) {
-    P->Hash = flick_spec_structural_hash(T, W);
+    P->Hash = Probe.Hash;
     flick_metric_add(&flick_metrics::spec_programs, 1);
     flick_metric_add(&flick_metrics::spec_steps_fused, P->StepsFused);
   }
   const flick_spec_program *Raw = P.get();
-  C.Map.emplace(std::move(Key), std::move(P));
+  C.Map.emplace(SpecKey{std::string(Probe.view()), Probe.Len, Probe.Hash},
+                std::move(P));
   return Raw;
 }
 

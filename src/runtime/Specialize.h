@@ -21,11 +21,12 @@
 ///     counted sequences over dense elements become a single
 ///     length+bulk-copy kernel.
 ///
-/// Programs are cached keyed by a structural hash of the InterpType tree
-/// plus the wire convention, so marshaling N values of one dynamic type
-/// compiles once.  Specialized output is byte-identical to the
-/// interpreter's (and therefore to the compiled stubs'): the equivalence
-/// suite pins this.
+/// Programs are cached keyed by a binary serialization of the wire
+/// convention plus the InterpType tree, so marshaling N values of one
+/// dynamic type compiles once, and each later lookup costs one walk of the
+/// tree with no formatting and no allocation.  Specialized output is
+/// byte-identical to the interpreter's (and therefore to the compiled
+/// stubs'): the equivalence suite pins this.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,10 +50,11 @@ struct flick_spec_program {
 
 /// Returns the cached specialized program for (\p T, \p W), compiling it
 /// on first use.  Returns null when the type program cannot be
-/// specialized (unsupported width, excessive nesting); the null result is
-/// cached too, so callers can retry cheaply and fall back to the
-/// interpreter.  Thread-safe; counts spec_programs / spec_compile_ns /
-/// spec_cache_hits / spec_steps_fused on the calling thread's metrics.
+/// specialized (unsupported width, excessive nesting, a cyclic tree); the
+/// null result is cached too, so callers can retry cheaply and fall back
+/// to the interpreter.  Thread-safe; counts spec_programs /
+/// spec_compile_ns / spec_cache_hits / spec_steps_fused on the calling
+/// thread's metrics.
 const flick_spec_program *flick_specialize(const InterpType &T,
                                            const InterpWire &W);
 
@@ -64,14 +66,19 @@ int flick_spec_encode(flick_buf *Buf, const flick_spec_program *P,
 int flick_spec_decode(flick_buf *Buf, const flick_spec_program *P,
                       void *Val, flick_arena *Ar);
 
-/// The cache key: a canonical serialization of the type tree's structure
-/// (kinds, offsets, widths, counts, strides) prefixed with the wire
-/// convention.  Two independently built but structurally identical trees
-/// produce the same key and share one program.
+/// The cache key, as binary bytes: the wire convention, then per node a
+/// kind tag and the fields that kind uses (offsets, widths, counts,
+/// strides) at fixed width, with a struct's field count before its fields
+/// and a marker for an absent Elem.  Structurally identical trees, however
+/// built, produce the same key and share one program; any other pair of
+/// trees produces distinct keys.  A tree nested deeper or larger than the
+/// specializer's backstops, a cyclic one included, gets a finite key
+/// truncated with a marker, and flick_specialize refuses it.
 std::string flick_spec_structural_key(const InterpType &T,
                                       const InterpWire &W);
 
-/// FNV-1a hash of the structural key.
+/// The hash of the structural key that the program cache uses; a compiled
+/// program carries it as flick_spec_program::Hash.
 uint64_t flick_spec_structural_hash(const InterpType &T,
                                     const InterpWire &W);
 

@@ -389,7 +389,9 @@ const flick_spec_dec_op *decLoopCounted(const flick_spec_dec_op *Op,
   }
   uint32_t Len = getU32At<BE>(C.Buf->data + C.Buf->pos);
   C.Buf->pos += 4;
-  if (Len > (1u << 28)) {
+  // The compiled stubs' rule: no more elements than bytes left, checked
+  // before the count sizes an allocation.
+  if (Len > (1u << 28) || !flick_buf_check(C.Buf, Len)) {
     C.Err = FLICK_ERR_DECODE;
     return nullptr;
   }

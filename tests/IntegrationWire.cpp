@@ -274,22 +274,24 @@ TEST(WireEquivalence, InterpreterMatchesCompiledStubsOnTheWire) {
   flick_buf_destroy(&Interp);
 }
 
+/// The dirent workload's type program over the F_ presentation, the one
+/// with every node kind in play (cstring, fixed array, raw bytes, counted
+/// sequence of structs).
+const InterpType FIntElem = InterpType::scalar(0, 4);
+const InterpType FDirentTy = InterpType::structOf({
+    InterpType::cstring(offsetof(F_dirent, name)),
+    InterpType::fixedArray(offsetof(F_dirent, info.words), &FIntElem, 30, 4),
+    InterpType::bytes(offsetof(F_dirent, info.tag), 16),
+});
+const InterpType FDirentSeqTy = InterpType::counted(
+    offsetof(F_direntseq, direntseq_len),
+    offsetof(F_direntseq, direntseq_val), &FDirentTy, sizeof(F_dirent));
+
 TEST(WireEquivalence, SpecializedMatchesInterpAndCompiledStubs) {
   // The three-way contract: interpreter, runtime-specialized program, and
   // compiled stub put the very same XDR bytes on the wire -- here for the
-  // dirent workload, the presentation with every node kind in play
-  // (cstring, fixed array, raw bytes, counted sequence of structs).
-  using flick::InterpType;
-  static const InterpType IntElem = InterpType::scalar(0, 4);
-  static const InterpType DirentTy = InterpType::structOf({
-      InterpType::cstring(offsetof(F_dirent, name)),
-      InterpType::fixedArray(offsetof(F_dirent, info.words), &IntElem, 30,
-                             4),
-      InterpType::bytes(offsetof(F_dirent, info.tag), 16),
-  });
-  static const InterpType SeqTy = InterpType::counted(
-      offsetof(F_direntseq, direntseq_len),
-      offsetof(F_direntseq, direntseq_val), &DirentTy, sizeof(F_dirent));
+  // dirent workload.
+  const InterpType &SeqTy = FDirentSeqTy;
   const flick::InterpWire Xdr{true, true};
 
   char Name0[] = "three-way", Name1[] = "f";
@@ -337,6 +339,41 @@ TEST(WireEquivalence, SpecializedMatchesInterpAndCompiledStubs) {
   flick_buf_destroy(&Stub);
   flick_buf_destroy(&Interp);
   flick_buf_destroy(&Spec);
+}
+
+TEST(WireRobustness, CountPastTheBodyFailsBeforeAllocating) {
+  // A 12-byte body claiming 2^24 dirents: the stub, the interpreter and
+  // the specializer each refuse it by the bytes left, before sizing an
+  // array from the count.
+  const flick::InterpWire Xdr{true, true};
+  const flick::flick_spec_program *P = flick_specialize(FDirentSeqTy, Xdr);
+  ASSERT_NE(P, nullptr);
+  const char *const Execs[] = {"stub", "interpreter", "specializer"};
+  for (int E = 0; E != 3; ++E) {
+    SCOPED_TRACE(Execs[E]);
+    flick_buf B;
+    flick_buf_init(&B);
+    ASSERT_EQ(flick_buf_ensure(&B, 12), FLICK_OK);
+    uint8_t *Body = flick_buf_grab(&B, 12);
+    std::memset(Body, 0, 12);
+    flick_enc_u32be(Body, 1u << 24);
+    flick_metrics M;
+    flick_metrics_enable(&M);
+    flick_arena Ar{};
+    F_direntseq Out{};
+    int Err;
+    if (E == 0)
+      Err = F_send_dirents_1_decode_request(&B, &Ar, &Out);
+    else if (E == 1)
+      Err = flick_interp_decode(&B, FDirentSeqTy, &Out, Xdr, &Ar);
+    else
+      Err = flick_spec_decode(&B, P, &Out, &Ar);
+    EXPECT_EQ(Err, FLICK_ERR_DECODE);
+    flick_arena_destroy(&Ar); // records the arena's high water
+    flick_metrics_disable();
+    EXPECT_LT(M.arena_high_water, 4096u);
+    flick_buf_destroy(&B);
+  }
 }
 
 //===----------------------------------------------------------------------===//

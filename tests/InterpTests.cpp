@@ -168,6 +168,61 @@ INSTANTIATE_TEST_SUITE_P(Wires, InterpWireTest, ::testing::Bool(),
                            return Info.param ? "xdr" : "cdr_le";
                          });
 
+/// A linked list: each node's counted sequence holds at most one node.
+struct List {
+  uint32_t Len;
+  List *Next;
+};
+
+const InterpType ListTy = InterpType::counted(
+    offsetof(List, Len), offsetof(List, Next), &ListTy, sizeof(List));
+
+/// An XDR list \p Nodes deep: Nodes - 1 lengths of one, then a zero.
+flick_buf listWire(size_t Nodes) {
+  flick_buf B;
+  flick_buf_init(&B);
+  flick_buf_ensure(&B, 4 * Nodes);
+  for (size_t I = 0; I != Nodes; ++I)
+    flick_enc_u32be(flick_buf_grab(&B, 4), I + 1 != Nodes);
+  return B;
+}
+
+TEST(Interp, NestingAtTheLimitDecodesOneDeeperFails) {
+  const size_t Limit = FLICK_INTERP_MAX_NEST;
+  for (size_t Nodes : {Limit, Limit + 1}) {
+    SCOPED_TRACE(Nodes);
+    flick_buf B = listWire(Nodes);
+    List Out{};
+    flick_arena Ar{};
+    int Err = flick_interp_decode(&B, ListTy, &Out, Xdr, &Ar);
+    if (Nodes == Limit) {
+      ASSERT_EQ(Err, FLICK_OK);
+      size_t Depth = 1;
+      for (const List *L = &Out; L->Len; L = L->Next)
+        ++Depth;
+      EXPECT_EQ(Depth, Nodes);
+    } else {
+      EXPECT_EQ(Err, FLICK_ERR_DECODE);
+    }
+    flick_arena_destroy(&Ar);
+    flick_buf_destroy(&B);
+  }
+}
+
+TEST(Interp, HostileNestingFailsInsteadOfOverflowingTheStack) {
+  // 4 MB of lengths of one: a million-node list with no end.
+  flick_buf B;
+  flick_buf_init(&B);
+  flick_buf_ensure(&B, 4u << 20);
+  for (size_t I = 0; I != (1u << 20); ++I)
+    flick_enc_u32be(flick_buf_grab(&B, 4), 1);
+  List Out{};
+  flick_arena Ar{};
+  EXPECT_EQ(flick_interp_decode(&B, ListTy, &Out, Xdr, &Ar), FLICK_ERR_DECODE);
+  flick_arena_destroy(&Ar);
+  flick_buf_destroy(&B);
+}
+
 TEST(Interp, XdrWidensSmallScalars) {
   struct One {
     uint8_t V;

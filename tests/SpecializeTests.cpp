@@ -20,6 +20,7 @@
 #include "runtime/Specialize.h"
 #include <cstring>
 #include <gtest/gtest.h>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -364,6 +365,169 @@ TEST(SpecCache, DistinctTreesAndWiresCompileSeparately) {
   EXPECT_EQ(M.spec_cache_hits, 0u);
   EXPECT_EQ(flick_spec_cache_size(), 3u);
   flick_metrics_disable();
+}
+
+/// Every tree in the table differs from the first of its kind in one
+/// thing.  Each construction builds every tree anew, elements included,
+/// so two tables hold structurally identical but independent trees.
+struct MutantTable {
+  InterpType I32 = InterpType::scalar(0, 4);
+  InterpType F32 = InterpType::scalar(0, 4, true);
+  std::vector<std::pair<const char *, InterpType>> Trees;
+
+  MutantTable(const MutantTable &) = delete; // Trees point at I32 and F32
+  MutantTable() {
+    using T = InterpType;
+    const T A = T::scalar(0, 4), B = T::scalar(4, 4), C = T::scalar(8, 4);
+    Trees = {
+        {"scalar", T::scalar(8, 4)},
+        {"scalar Offset", T::scalar(12, 4)},
+        {"scalar Width", T::scalar(8, 8)},
+        {"scalar IsFloat", T::scalar(8, 4, true)},
+        {"bytes", T::bytes(8, 16)},
+        {"bytes Offset", T::bytes(12, 16)},
+        {"bytes Count", T::bytes(8, 20)},
+        {"cstring", T::cstring(8)},
+        {"cstring Offset", T::cstring(16)},
+        {"fixed", T::fixedArray(8, &I32, 4, 4)},
+        {"fixed Offset", T::fixedArray(16, &I32, 4, 4)},
+        {"fixed Count", T::fixedArray(8, &I32, 5, 4)},
+        {"fixed HostStride", T::fixedArray(8, &I32, 4, 8)},
+        {"fixed Elem", T::fixedArray(8, &F32, 4, 4)},
+        {"fixed null Elem", T::fixedArray(8, nullptr, 4, 4)},
+        {"counted", T::counted(0, 8, &I32, 4)},
+        {"counted LenOffset", T::counted(4, 8, &I32, 4)},
+        {"counted BufOffset", T::counted(0, 16, &I32, 4)},
+        {"counted HostStride", T::counted(0, 8, &I32, 8)},
+        {"counted Elem", T::counted(0, 8, &F32, 4)},
+        {"counted null Elem", T::counted(0, 8, nullptr, 4)},
+        {"struct", T::structOf({A, B})},
+        {"struct field count", T::structOf({A, B, C})},
+        // Same length serialized: only the order of the offsets differs.
+        {"struct field order", T::structOf({B, A})},
+        {"struct in struct", T::structOf({T::structOf({A, B})})},
+        {"struct in struct, split", T::structOf({T::structOf({A}), B})},
+    };
+  }
+};
+
+TEST(SpecCache, EveryOneFieldMutantKeysHashesAndCompilesApart) {
+  flick_spec_cache_clear();
+  flick_metrics M;
+  flick_metrics_enable(&M);
+  const MutantTable Table;
+  std::set<std::string> Keys;
+  std::set<uint64_t> Hashes;
+  std::vector<const flick_spec_program *> Progs;
+  std::set<const flick_spec_program *> Distinct;
+  for (const auto &[Name, Tree] : Table.Trees) {
+    SCOPED_TRACE(Name);
+    EXPECT_TRUE(Keys.insert(flick_spec_structural_key(Tree, Xdr)).second);
+    uint64_t Hash = flick_spec_structural_hash(Tree, Xdr);
+    EXPECT_TRUE(Hashes.insert(Hash).second);
+    const flick_spec_program *P = flick_specialize(Tree, Xdr);
+    Progs.push_back(P);
+    if (P) {
+      EXPECT_TRUE(Distinct.insert(P).second);
+      EXPECT_EQ(P->Hash, Hash);
+    }
+  }
+  // Only the two null-Elem arrays are refused; the rest compiled apart.
+  EXPECT_EQ(Distinct.size(), Table.Trees.size() - 2);
+  EXPECT_EQ(M.spec_programs, Distinct.size());
+  EXPECT_EQ(M.spec_cache_hits, 0u);
+  EXPECT_EQ(flick_spec_cache_size(), Table.Trees.size());
+
+  // An independently rebuilt copy of each tree finds its original's entry.
+  const MutantTable Copy;
+  for (size_t I = 0; I != Copy.Trees.size(); ++I) {
+    SCOPED_TRACE(Copy.Trees[I].first);
+    EXPECT_EQ(flick_specialize(Copy.Trees[I].second, Xdr), Progs[I]);
+  }
+  EXPECT_EQ(M.spec_programs, Distinct.size());
+  EXPECT_EQ(M.spec_cache_hits, Table.Trees.size());
+
+  // The four wire conventions key and compile one tree apart.
+  std::set<std::string> WireKeys;
+  std::set<const flick_spec_program *> WireProgs;
+  for (bool BigEndian : {false, true})
+    for (bool XdrWidening : {false, true}) {
+      const InterpWire W{BigEndian, XdrWidening};
+      WireKeys.insert(flick_spec_structural_key(Copy.Trees[0].second, W));
+      WireProgs.insert(flick_specialize(Copy.Trees[0].second, W));
+    }
+  EXPECT_EQ(WireKeys.size(), 4u);
+  EXPECT_EQ(WireProgs.size(), 4u);
+  EXPECT_EQ(M.spec_programs, Distinct.size() + 3) << "Xdr's was compiled";
+  flick_metrics_disable();
+}
+
+//===----------------------------------------------------------------------===//
+// Recursive type programs
+//===----------------------------------------------------------------------===//
+
+/// A linked list: each node's counted sequence holds at most one node.
+struct TList {
+  uint32_t Len;
+  TList *Next;
+};
+
+const InterpType ListTy = InterpType::counted(
+    offsetof(TList, Len), offsetof(TList, Next), &ListTy, sizeof(TList));
+
+TEST(SpecRecursion, CyclicTreeIsRefusedOnceAndCached) {
+  flick_spec_cache_clear();
+  flick_metrics M;
+  flick_metrics_enable(&M);
+  EXPECT_EQ(flick_specialize(ListTy, Xdr), nullptr);
+  EXPECT_EQ(flick_specialize(ListTy, Xdr), nullptr);
+  EXPECT_EQ(M.spec_programs, 0u);
+  EXPECT_EQ(M.spec_cache_hits, 1u) << "one compile, then the cached refusal";
+  EXPECT_EQ(flick_spec_cache_size(), 1u);
+  flick_metrics_disable();
+}
+
+TEST(SpecRecursion, ListRoundTripsThroughTheInterpreterFallback) {
+  TList N3{0, nullptr}, N2{1, &N3}, N1{1, &N2};
+  flick_buf B;
+  flick_buf_init(&B);
+  ASSERT_EQ(flick_interp_encode(&B, ListTy, &N1, Xdr, true), FLICK_OK);
+  EXPECT_EQ(bufBytes(&B),
+            (std::vector<uint8_t>{0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0}));
+  TList Out{};
+  flick_arena Ar{};
+  ASSERT_EQ(flick_interp_decode(&B, ListTy, &Out, Xdr, &Ar, true), FLICK_OK);
+  EXPECT_EQ(B.pos, B.len);
+  ASSERT_EQ(Out.Len, 1u);
+  ASSERT_EQ(Out.Next->Len, 1u);
+  EXPECT_EQ(Out.Next->Next->Len, 0u);
+  flick_arena_destroy(&Ar);
+  flick_buf_destroy(&B);
+}
+
+TEST(SpecRecursion, TreesCutAtTheSamePlaceAreBothRefused) {
+  // A chain of empty fixed arrays nested past the bound, then a scalar
+  // that differs.  Both trees key by the same truncated key, so neither
+  // may compile, although lowering never visits the chain's deep end.
+  std::vector<InterpType> Chain(80, InterpType::scalar(0, 4));
+  for (size_t I = 0; I + 1 != Chain.size(); ++I)
+    Chain[I] = InterpType::fixedArray(0, &Chain[I + 1], 0, 4);
+  const InterpType X =
+      InterpType::structOf({Chain[0], InterpType::scalar(0, 4)});
+  const InterpType Y =
+      InterpType::structOf({Chain[0], InterpType::scalar(0, 8)});
+  EXPECT_EQ(flick_spec_structural_key(X, Xdr),
+            flick_spec_structural_key(Y, Xdr));
+  EXPECT_EQ(flick_specialize(X, Xdr), nullptr);
+  EXPECT_EQ(flick_specialize(Y, Xdr), nullptr);
+  const uint64_t V = 0x0102030405060708ull;
+  for (const InterpType *T : {&X, &Y}) {
+    flick_buf B;
+    flick_buf_init(&B);
+    ASSERT_EQ(flick_interp_encode(&B, *T, &V, Xdr, true), FLICK_OK);
+    EXPECT_EQ(B.len, T == &X ? 4u : 8u);
+    flick_buf_destroy(&B);
+  }
 }
 
 //===----------------------------------------------------------------------===//
