@@ -6,14 +6,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Figure 7: Flick's Mach 3 stubs vs MIG-generated stubs, integer arrays
-/// over Mach IPC.  MIG stands in as a hand-modeled stub in the style MIG
-/// emitted: a fixed static message buffer (no growth checks, no xid
-/// bookkeeping -- MIG's small-message advantage) but an extra staging copy
-/// into the send message (Mach's typed-message handling -- MIG's
-/// large-message penalty).  The paper: MIG ~2x faster below 8 KB, Flick
-/// pulls ahead from 8 KB, +17% at 64 KB.  The crossover (not the exact
-/// percentages) is the reproduced claim; see EXPERIMENTS.md.
+/// Figure 7: Flick's Mach 3 stubs vs MIG-generated stubs, integer arrays over
+/// Mach IPC.  MIG stands in as a hand-modeled stub in the style MIG emitted: a
+/// fixed static message buffer (no growth checks, no xid bookkeeping -- MIG's
+/// small-message advantage) but an extra staging copy into the send message
+/// (Mach's typed-message handling -- MIG's large-message penalty).  Both sides
+/// read what they receive in place in the receive buffer, as MIG stubs did.
+/// The paper: MIG ~2x faster below 8 KB, Flick pulls ahead from 8 KB, +17% at
+/// 64 KB.  The crossover (not the exact percentages) is the reproduced claim;
+/// see EXPERIMENTS.md.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,6 +41,7 @@ struct MigClient {
   flick::Channel *Chan = nullptr;
   std::vector<uint8_t> Msg;   ///< MIG's static message buffer
   std::vector<uint8_t> Stage; ///< the typed-message staging copy
+  flick_buf Reply;            ///< the reply port's receive buffer
 };
 
 int migSendInts(MigClient &C, const int32_t *Data, uint32_t N) {
@@ -56,28 +58,39 @@ int migSendInts(MigClient &C, const int32_t *Data, uint32_t N) {
   std::memcpy(B + 28, Data, size_t(N) * 4);
   // Typed-message handling: Mach stages the message once more.
   std::memcpy(C.Stage.data(), B, Len);
-  if (int Err = C.Chan->send(C.Stage.data(), Len))
+  flick_iov Seg = {C.Stage.data(), Len};
+  if (int Err = C.Chan->sendv(&Seg, 1))
     return Err;
-  std::vector<uint8_t> Reply;
-  return C.Chan->recv(Reply);
+  int Err = C.Chan->recvInto(&C.Reply);
+  C.Chan->release(&C.Reply);
+  return Err;
 }
 
-/// Server side of the MIG pair: consume the request, push a tiny reply.
+/// Server side of the MIG pair: consume the request in its receive
+/// buffer, push a tiny reply.
 bool migServe(flick::LocalLink &Link) {
-  std::vector<uint8_t> Req;
-  if (Link.serverEnd().recv(Req) != FLICK_OK)
+  flick::Channel &Port = Link.serverEnd();
+  flick_buf Req;
+  flick_buf_init(&Req);
+  if (Port.recvInto(&Req) != FLICK_OK)
     return false;
-  if (Req.size() < 28)
+  bool Ok = Req.len >= 28;
+  if (Ok) {
+    uint32_t N = flick_dec_u32ne(Req.data + 24);
+    // MIG delivered arrays in the message body; the servant reads in
+    // place.
+    volatile int32_t Sink = 0;
+    if (N)
+      Sink = flick_dec_u32ne(Req.data + 28);
+    (void)Sink;
+  }
+  Port.release(&Req);
+  if (!Ok)
     return false;
-  uint32_t N = flick_dec_u32ne(Req.data() + 24);
-  // MIG delivered arrays in the message body; the servant reads in place.
-  volatile int32_t Sink = 0;
-  if (N)
-    Sink = flick_dec_u32ne(Req.data() + 28);
-  (void)Sink;
   uint8_t Reply[32] = {0};
   flick_enc_u32ne(Reply + 16, 501);
-  return Link.serverEnd().send(Reply, 32) == FLICK_OK;
+  flick_iov Seg = {Reply, sizeof Reply};
+  return Port.sendv(&Seg, 1) == FLICK_OK;
 }
 
 } // namespace
@@ -129,6 +142,7 @@ int main() {
     Mig.Chan = &ML.clientEnd();
     Mig.Msg.resize(28 + Bytes);
     Mig.Stage.resize(28 + Bytes);
+    flick_buf_init(&Mig.Reply);
     MC.reset();
     size_t MCalls = 0;
     TimeStats MCpu = timeIt([&] {
@@ -143,6 +157,7 @@ int main() {
     JsonReport::get().addRate("ints", "mig", Bytes, MCpu, MT * 1e6 / 8.0);
     std::printf("%8s %14.1f %14.1f %11.2fx\n", fmtBytes(Bytes).c_str(),
                 FT, MT, MT > 0 ? FT / MT : 0);
+    flick_buf_destroy(&Mig.Reply);
     flick_client_destroy(&Cli);
     flick_server_destroy(&Srv);
   }

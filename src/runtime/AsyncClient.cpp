@@ -66,17 +66,6 @@ flick_call *takeSlot(AsyncImpl *I) {
   return Call;
 }
 
-/// Sends \p b over \p ch -- gathered when it carries borrowed spans, flat
-/// otherwise (same contract as the synchronous client's send path).
-int sendBuf(flick_channel *ch, const flick_buf *b) {
-  if (b->nrefs) {
-    flick_iov iov[2 * FLICK_BUF_MAX_REFS + 1];
-    size_t n = flick_buf_iovec(b, iov);
-    return flick_channel_sendv(ch, iov, n);
-  }
-  return flick_channel_send(ch, b->data, b->len);
-}
-
 /// Completes \p Call with the reply currently in the scratch buffer: the
 /// buffers swap (the call adopts the wire storage, the emptied slot buffer
 /// becomes the next scratch), latency is recorded against the call's own
@@ -237,7 +226,7 @@ int flick_async_submit(flick_async_client *c, flick_call **out,
   // cleared right after so oneways and any interleaved synchronous traffic
   // on the channel keep their id-0 frames.
   c->chan->setCorrelation(Call->id);
-  int Err = sendBuf(c->chan, &c->req);
+  int Err = flick_channel_send_buf(c->chan, &c->req);
   c->chan->setCorrelation(0);
   flick_trace_close_to(Base);
   if (Err) {

@@ -39,46 +39,6 @@ size_t flick_buf_iovec(const flick_buf *b, flick_iov *iov) {
   return n;
 }
 
-// Default scatter-gather bridges: correct for any transport, at the price
-// of one staging copy.  Every transport in runtime/transport/ overrides
-// them (a single pooled copy, a move, or -- for SocketLink -- a direct
-// sendmsg gather with no staging at all).
-
-int Channel::sendv(const flick_iov *Segs, size_t Count) {
-  size_t Total = 0;
-  for (size_t i = 0; i != Count; ++i)
-    Total += Segs[i].len;
-  std::vector<uint8_t> Flat(Total);
-  size_t Off = 0;
-  for (size_t i = 0; i != Count; ++i) {
-    std::memcpy(Flat.data() + Off, Segs[i].base, Segs[i].len);
-    Off += Segs[i].len;
-  }
-  if (flick_metrics_active) {
-    flick_metrics_active->bytes_copied += Total;
-    ++flick_metrics_active->copy_ops;
-  }
-  return send(Flat.data(), Flat.size());
-}
-
-int Channel::recvInto(flick_buf *Into) {
-  std::vector<uint8_t> Msg;
-  if (int err = recv(Msg))
-    return err;
-  flick_buf_reset(Into);
-  if (int err = flick_buf_ensure(Into, Msg.size()))
-    return err;
-  std::memcpy(Into->data, Msg.data(), Msg.size());
-  Into->len = Msg.size();
-  if (flick_metrics_active) {
-    flick_metrics_active->bytes_copied += Msg.size();
-    ++flick_metrics_active->copy_ops;
-  }
-  return FLICK_OK;
-}
-
-void Channel::release(flick_buf *) {}
-
 int Channel::sendBatch(const flick_iov *const *Segs, const size_t *Counts,
                        size_t NMsgs) {
   for (size_t I = 0; I != NMsgs; ++I)
@@ -133,13 +93,9 @@ void WireBufPool::release(uint8_t *Data, size_t Cap) {
 // C shims used by generated code
 //===----------------------------------------------------------------------===//
 
-int flick_channel_send(flick_channel *ch, const uint8_t *data, size_t len) {
-  return ch->send(data, len);
-}
-
-int flick_channel_sendv(flick_channel *ch, const flick_iov *segs,
-                        size_t count) {
-  return ch->sendv(segs, count);
+int flick_channel_send_buf(flick_channel *ch, const flick_buf *b) {
+  flick_iov iov[2 * FLICK_BUF_MAX_REFS + 1];
+  return ch->sendv(iov, flick_buf_iovec(b, iov));
 }
 
 int flick_channel_recv(flick_channel *ch, flick_buf *into) {

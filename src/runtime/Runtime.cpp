@@ -119,18 +119,6 @@ void flick_swap_copy_u64(uint8_t *dst, const uint8_t *src, size_t dwords) {
 }
 
 namespace {
-/// Sends \p b over \p ch, as scatter-gather segments when the buffer
-/// carries borrowed spans (gathered marshaling) and as flat bytes
-/// otherwise.  The flat path is byte-for-byte the pre-gather behavior.
-int sendBuf(flick_channel *ch, const flick_buf *b) {
-  if (b->nrefs) {
-    flick_iov iov[2 * FLICK_BUF_MAX_REFS + 1];
-    size_t n = flick_buf_iovec(b, iov);
-    return flick_channel_sendv(ch, iov, n);
-  }
-  return flick_channel_send(ch, b->data, b->len);
-}
-
 /// Flight-recorder bracket around one client invoke: in-flight count and
 /// the watchdog's start stamp on entry; completion count, stamp clear, and
 /// in-flight decrement on every exit path.  Costs one relaxed flag load
@@ -267,7 +255,7 @@ int flick_client_invoke(flick_client *c) {
       flick_trace_tag_endpoint(c->endpoint); // children inherit the tag
     flick_trace_begin_impl(FLICK_SPAN_SEND, "send");
   }
-  int err = sendBuf(c->chan, &c->req);
+  int err = flick_channel_send_buf(c->chan, &c->req);
   if (flick_trace_active)
     flick_trace_end_impl(); // SEND
   if (err) {
@@ -309,7 +297,7 @@ int flick_client_send_oneway(flick_client *c) {
       flick_trace_tag_endpoint(c->endpoint);
     flick_trace_begin_impl(FLICK_SPAN_SEND, "send");
   }
-  int err = sendBuf(c->chan, &c->req);
+  int err = flick_channel_send_buf(c->chan, &c->req);
   if (err)
     flick_metric_add(&flick_metrics::transport_errors, 1);
   flick_trace_close_to(Base);
@@ -371,7 +359,7 @@ int flick_server_handle_one(flick_server *s) {
   flick_metric_add(&flick_metrics::server_reply_bytes, s->rep.len);
   if (flick_trace_active)
     flick_trace_begin_impl(FLICK_SPAN_REPLY, "reply");
-  int err = flick_channel_send(s->chan, s->rep.data, s->rep.len);
+  int err = flick_channel_send_buf(s->chan, &s->rep);
   flick_trace_close_to(Base); // ends REPLY and the DEMUX root
   if (err) {
     flick_metric_add(&flick_metrics::transport_errors, 1);

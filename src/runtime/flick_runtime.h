@@ -188,7 +188,7 @@ inline void flick_metric_max(uint64_t flick_metrics::*f, uint64_t v) {
 //===----------------------------------------------------------------------===//
 
 /// One scatter-gather segment: a borrowed span of caller memory.  Gathered
-/// sends (flick_channel_sendv) consume an array of these.
+/// sends (Channel::sendv) consume an array of these.
 struct flick_iov {
   const uint8_t *base;
   size_t len;
@@ -780,11 +780,11 @@ inline void CORBA_exception_free(CORBA_Environment *ev) {
 // Channel C shims (implemented in Channel.cpp)
 //===----------------------------------------------------------------------===//
 
-int flick_channel_send(flick_channel *ch, const uint8_t *data, size_t len);
-/// Sends one message given as \p count scatter-gather segments.  The
-/// segments are only borrowed for the duration of the call.
-int flick_channel_sendv(flick_channel *ch, const flick_iov *segs,
-                        size_t count);
+/// Sends \p b as one message: its owned bytes and borrowed spans in wire
+/// order (flick_buf_iovec), gathered by Channel::sendv -- one segment
+/// when no span was borrowed.  The client's request, the async client's
+/// submit and the server's reply all leave through here.
+int flick_channel_send_buf(flick_channel *ch, const flick_buf *b);
 /// Receives one message into \p into (reset first).  Returns FLICK_OK or
 /// FLICK_ERR_TRANSPORT.
 int flick_channel_recv(flick_channel *ch, flick_buf *into);

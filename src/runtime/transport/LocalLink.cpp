@@ -13,8 +13,8 @@ using namespace flick;
 LocalLink::LocalLink() : AEnd(*this, true), BEnd(*this, false) {}
 
 LocalLink::~LocalLink() {
-  for (std::deque<Msg> *Q : {&ToA, &ToB})
-    for (Msg &M : *Q)
+  for (std::deque<WireMsg> *Q : {&ToA, &ToB})
+    for (WireMsg &M : *Q)
       std::free(M.Data);
 }
 
@@ -36,56 +36,16 @@ void LocalLink::account(size_t Len) {
     flick_trace_record_complete(FLICK_SPAN_WIRE, "wire", Us);
 }
 
-int LocalLink::End::send(const uint8_t *Data, size_t Len) {
-  Msg M;
-  M.Data = Link.Pool.acquire(Len, &M.Cap);
-  if (!M.Data) {
-    flick_metric_add(&flick_metrics::alloc_errors, 1);
-    return FLICK_ERR_TRANSPORT;
-  }
-  std::memcpy(M.Data, Data, Len);
-  M.Len = Len;
-  if (flick_metrics_active) {
-    flick_metrics_active->bytes_copied += Len;
-    ++flick_metrics_active->copy_ops;
-  }
-  if (flick_trace_active)
-    flick_trace_stamp(&M.TraceId, &M.ParentSpan, &M.Endpoint);
-  M.Corr = CorrOut;
-  Link.account(Len);
-  (IsClient ? Link.ToB : Link.ToA).push_back(M);
-  return FLICK_OK;
-}
-
 int LocalLink::End::sendv(const flick_iov *Segs, size_t Count) {
-  size_t Total = 0;
-  for (size_t i = 0; i != Count; ++i)
-    Total += Segs[i].len;
-  Msg M;
-  M.Data = Link.Pool.acquire(Total, &M.Cap);
-  if (!M.Data) {
-    flick_metric_add(&flick_metrics::alloc_errors, 1);
-    return FLICK_ERR_TRANSPORT;
-  }
-  size_t Off = 0;
-  for (size_t i = 0; i != Count; ++i) {
-    std::memcpy(M.Data + Off, Segs[i].base, Segs[i].len);
-    Off += Segs[i].len;
-  }
-  M.Len = Total;
-  if (flick_metrics_active) {
-    flick_metrics_active->bytes_copied += Total;
-    ++flick_metrics_active->copy_ops;
-  }
-  if (flick_trace_active)
-    flick_trace_stamp(&M.TraceId, &M.ParentSpan, &M.Endpoint);
-  M.Corr = CorrOut;
-  Link.account(Total);
+  WireMsg M;
+  if (int Err = Link.Pool.fill(&M, Segs, Count, CorrOut))
+    return Err;
+  Link.account(M.Len);
   (IsClient ? Link.ToB : Link.ToA).push_back(M);
   return FLICK_OK;
 }
 
-int LocalLink::End::recv(std::vector<uint8_t> &Out) {
+int LocalLink::End::recvInto(flick_buf *Into) {
   auto &Queue = IsClient ? Link.ToA : Link.ToB;
   // The client side synchronously pumps the server until a reply shows up;
   // the server side simply fails when no request is pending.
@@ -93,56 +53,13 @@ int LocalLink::End::recv(std::vector<uint8_t> &Out) {
     if (!IsClient || !Link.Pump || !Link.Pump())
       return FLICK_ERR_TRANSPORT;
   }
-  Msg M = Queue.front();
+  WireMsg M = Queue.front();
   Queue.pop_front();
   CorrIn = M.Corr;
   if (!IsClient)
     CorrOut = M.Corr; // echo the request's id onto the reply
   if (flick_trace_active)
     flick_trace_deposit(M.TraceId, M.ParentSpan, M.Endpoint);
-  Out.assign(M.Data, M.Data + M.Len);
-  if (flick_metrics_active) {
-    flick_metrics_active->bytes_copied += M.Len;
-    ++flick_metrics_active->copy_ops;
-  }
-  Link.Pool.release(M.Data, M.Cap);
+  Link.Pool.adopt(Into, M.Data, M.Cap, M.Len);
   return FLICK_OK;
-}
-
-int LocalLink::End::recvInto(flick_buf *Into) {
-  auto &Queue = IsClient ? Link.ToA : Link.ToB;
-  while (Queue.empty()) {
-    if (!IsClient || !Link.Pump || !Link.Pump())
-      return FLICK_ERR_TRANSPORT;
-  }
-  Msg M = Queue.front();
-  Queue.pop_front();
-  CorrIn = M.Corr;
-  if (!IsClient)
-    CorrOut = M.Corr; // echo the request's id onto the reply
-  if (flick_trace_active)
-    flick_trace_deposit(M.TraceId, M.ParentSpan, M.Endpoint);
-  // Hand the pooled wire buffer to the caller whole and park the caller's
-  // old allocation for the next send: the receive itself copies nothing.
-  // Legal because flick_buf manages data with realloc/free and the pool
-  // allocates with malloc.
-  flick_buf_reset(Into);
-  Link.Pool.release(Into->data, Into->cap);
-  Into->data = M.Data;
-  Into->cap = M.Cap;
-  Into->len = M.Len;
-  Into->pos = 0;
-  return FLICK_OK;
-}
-
-void LocalLink::End::release(flick_buf *Buf) {
-  // Reclaim the adopted wire storage the moment its reader is done with
-  // it: the next send then refills this same (cache-hot) allocation.
-  // Without the early release two buffers alternate -- one adopted, one
-  // filling -- doubling the transport's cache footprint per direction.
-  Link.Pool.release(Buf->data, Buf->cap);
-  Buf->data = nullptr;
-  Buf->cap = 0;
-  Buf->len = 0;
-  Buf->pos = 0;
 }

@@ -58,39 +58,22 @@ private:
   class End final : public Channel {
   public:
     End(LocalLink &Link, bool IsClient) : Link(Link), IsClient(IsClient) {}
-    int send(const uint8_t *Data, size_t Len) override;
-    int recv(std::vector<uint8_t> &Out) override;
     int sendv(const flick_iov *Segs, size_t Count) override;
     int recvInto(flick_buf *Into) override;
-    void release(flick_buf *Buf) override;
+    void release(flick_buf *Buf) override { Link.Pool.reclaim(Buf); }
 
   private:
     LocalLink &Link;
     bool IsClient;
   };
 
-  /// One queued message plus its out-of-band trace context: the sender's
-  /// (trace id, span id) ride beside the bytes, never inside them, so
-  /// tracing cannot perturb the wire format.  The wire bytes live in a
-  /// pool-managed malloc allocation so a receiver can adopt it whole
-  /// (recvInto) instead of copying it out.  Corr carries the async
-  /// client's correlation id the same out-of-band way (echoed onto the
-  /// reply by the server end), so correlation unit tests run on this
-  /// deterministic link too.
-  struct Msg {
-    uint8_t *Data = nullptr;
-    size_t Cap = 0;
-    size_t Len = 0;
-    uint64_t TraceId = 0;
-    uint64_t ParentSpan = 0;
-    uint32_t Endpoint = 0;
-    uint64_t Corr = 0;
-  };
-
   void account(size_t Len);
 
-  std::deque<Msg> ToA; // server -> client
-  std::deque<Msg> ToB; // client -> server
+  /// Queued messages.  The server end echoes a request's correlation id
+  /// onto its reply, so correlation unit tests run on this deterministic
+  /// link too.
+  std::deque<WireMsg> ToA; // server -> client
+  std::deque<WireMsg> ToB; // client -> server
   WireBufPool Pool;
   NetworkModel Model = NetworkModel::ideal();
   SimClock *Clock = nullptr;

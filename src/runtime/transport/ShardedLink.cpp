@@ -34,7 +34,7 @@ void ShardedLink::Ring::init(size_t Cap) {
   Mask = C - 1;
 }
 
-bool ShardedLink::Ring::push(Conn *From, const Msg &M) {
+bool ShardedLink::Ring::push(Conn *From, const WireMsg &M) {
   uint64_t Ticket = Head.load(std::memory_order_relaxed);
   for (;;) {
     Cell &C = Cells[Ticket & Mask];
@@ -61,7 +61,7 @@ bool ShardedLink::Ring::push(Conn *From, const Msg &M) {
   return true;
 }
 
-bool ShardedLink::Ring::pop(Conn **From, Msg *M) {
+bool ShardedLink::Ring::pop(Conn **From, WireMsg *M) {
   uint64_t Ticket = Tail.load(std::memory_order_relaxed);
   for (;;) {
     Cell &C = Cells[Ticket & Mask];
@@ -106,7 +106,7 @@ ShardedLink::~ShardedLink() {
   shutdown();
   // Requests never handed to a worker: reclaim their wire bytes.
   Conn *From;
-  Msg M;
+  WireMsg M;
   for (size_t I = 0; I != NShards; ++I)
     while (Rings[I].pop(&From, &M))
       std::free(M.Data);
@@ -204,7 +204,7 @@ void ShardedLink::notifySpace() {
 // Request path
 //===----------------------------------------------------------------------===//
 
-int ShardedLink::pushRequest(Conn *From, Msg M) {
+int ShardedLink::pushRequest(Conn *From, WireMsg M) {
   if (Down.load(std::memory_order_acquire)) {
     From->Pool.release(M.Data, M.Cap);
     return FLICK_ERR_TRANSPORT;
@@ -272,7 +272,7 @@ int ShardedLink::pushRequest(Conn *From, Msg M) {
   return FLICK_OK;
 }
 
-bool ShardedLink::tryPopAny(size_t Pref, Conn **From, Msg *M) {
+bool ShardedLink::tryPopAny(size_t Pref, Conn **From, WireMsg *M) {
   for (size_t I = 0; I != NShards; ++I) {
     size_t S = (Pref + I) % NShards;
     if (!Rings[S].pop(From, M))
@@ -300,7 +300,7 @@ bool ShardedLink::tryPopAny(size_t Pref, Conn **From, Msg *M) {
   return false;
 }
 
-int ShardedLink::popRequest(WorkerChan *W, Conn **From, Msg *M) {
+int ShardedLink::popRequest(WorkerChan *W, Conn **From, WireMsg *M) {
   for (;;) {
     // Spin a bounded number of sweeps (own shard first, then steal)
     // before parking; each empty sweep is NShards acquire loads.
@@ -329,15 +329,15 @@ int ShardedLink::popRequest(WorkerChan *W, Conn **From, Msg *M) {
 }
 
 //===----------------------------------------------------------------------===//
-// Channel endpoints (identical copy/trace/pool discipline to ThreadedLink)
+// Channel endpoints
 //===----------------------------------------------------------------------===//
 
 ShardedLink::Conn::~Conn() {
-  for (Msg &M : RepQ)
+  for (WireMsg &M : RepQ)
     std::free(M.Data);
 }
 
-int ShardedLink::Conn::awaitReply(Msg *M) {
+int ShardedLink::Conn::awaitReply(WireMsg *M) {
   std::unique_lock<std::mutex> L(RMu);
   RCv.wait(L, [&] {
     return !RepQ.empty() || Link.Down.load(std::memory_order_relaxed);
@@ -349,94 +349,29 @@ int ShardedLink::Conn::awaitReply(Msg *M) {
   return FLICK_OK;
 }
 
-int ShardedLink::Conn::send(const uint8_t *Data, size_t Len) {
-  Msg M;
-  M.Data = Pool.acquire(Len, &M.Cap);
-  if (!M.Data) {
-    flick_metric_add(&flick_metrics::alloc_errors, 1);
-    return FLICK_ERR_TRANSPORT;
-  }
-  std::memcpy(M.Data, Data, Len);
-  M.Len = Len;
-  if (flick_metrics_active) {
-    flick_metrics_active->bytes_copied += Len;
-    ++flick_metrics_active->copy_ops;
-  }
-  if (flick_trace_active)
-    flick_trace_stamp(&M.TraceId, &M.ParentSpan, &M.Endpoint);
-  M.Corr = CorrOut;
-  Link.wireDelay(Len);
-  return Link.pushRequest(this, M);
-}
-
 int ShardedLink::Conn::sendv(const flick_iov *Segs, size_t Count) {
-  size_t Total = 0;
-  for (size_t i = 0; i != Count; ++i)
-    Total += Segs[i].len;
-  Msg M;
-  M.Data = Pool.acquire(Total, &M.Cap);
-  if (!M.Data) {
-    flick_metric_add(&flick_metrics::alloc_errors, 1);
-    return FLICK_ERR_TRANSPORT;
-  }
-  size_t Off = 0;
-  for (size_t i = 0; i != Count; ++i) {
-    std::memcpy(M.Data + Off, Segs[i].base, Segs[i].len);
-    Off += Segs[i].len;
-  }
-  M.Len = Total;
-  if (flick_metrics_active) {
-    flick_metrics_active->bytes_copied += Total;
-    ++flick_metrics_active->copy_ops;
-  }
-  if (flick_trace_active)
-    flick_trace_stamp(&M.TraceId, &M.ParentSpan, &M.Endpoint);
-  M.Corr = CorrOut;
-  Link.wireDelay(Total);
-  return Link.pushRequest(this, M);
-}
-
-int ShardedLink::Conn::recv(std::vector<uint8_t> &Out) {
-  Msg M;
-  if (int Err = awaitReply(&M))
+  WireMsg M;
+  if (int Err = Pool.fill(&M, Segs, Count, CorrOut))
     return Err;
-  CorrIn = M.Corr;
-  if (flick_trace_active)
-    flick_trace_deposit(M.TraceId, M.ParentSpan, M.Endpoint);
-  Out.assign(M.Data, M.Data + M.Len);
-  if (flick_metrics_active) {
-    flick_metrics_active->bytes_copied += M.Len;
-    ++flick_metrics_active->copy_ops;
-  }
-  Pool.release(M.Data, M.Cap);
-  return FLICK_OK;
+  Link.wireDelay(M.Len);
+  return Link.pushRequest(this, M);
 }
 
 int ShardedLink::Conn::recvInto(flick_buf *Into) {
-  Msg M;
+  WireMsg M;
   if (int Err = awaitReply(&M))
     return Err;
   CorrIn = M.Corr;
   if (flick_trace_active)
     flick_trace_deposit(M.TraceId, M.ParentSpan, M.Endpoint);
-  flick_buf_reset(Into);
-  Pool.release(Into->data, Into->cap);
-  Into->data = M.Data;
-  Into->cap = M.Cap;
-  Into->len = M.Len;
-  Into->pos = 0;
+  Pool.adopt(Into, M.Data, M.Cap, M.Len);
   return FLICK_OK;
 }
 
-void ShardedLink::Conn::release(flick_buf *Buf) {
-  Pool.release(Buf->data, Buf->cap);
-  Buf->data = nullptr;
-  Buf->cap = 0;
-  Buf->len = 0;
-  Buf->pos = 0;
-}
-
-int ShardedLink::WorkerChan::sendReply(Msg M) {
+int ShardedLink::WorkerChan::sendv(const flick_iov *Segs, size_t Count) {
+  WireMsg M;
+  if (int Err = Pool.fill(&M, Segs, Count, CorrOut))
+    return Err;
   Conn *To = CurConn;
   if (!To) {
     Pool.release(M.Data, M.Cap);
@@ -451,54 +386,9 @@ int ShardedLink::WorkerChan::sendReply(Msg M) {
   return FLICK_OK;
 }
 
-int ShardedLink::WorkerChan::send(const uint8_t *Data, size_t Len) {
-  Msg M;
-  M.Data = Pool.acquire(Len, &M.Cap);
-  if (!M.Data) {
-    flick_metric_add(&flick_metrics::alloc_errors, 1);
-    return FLICK_ERR_TRANSPORT;
-  }
-  std::memcpy(M.Data, Data, Len);
-  M.Len = Len;
-  if (flick_metrics_active) {
-    flick_metrics_active->bytes_copied += Len;
-    ++flick_metrics_active->copy_ops;
-  }
-  if (flick_trace_active)
-    flick_trace_stamp(&M.TraceId, &M.ParentSpan, &M.Endpoint);
-  M.Corr = CorrOut;
-  return sendReply(M);
-}
-
-int ShardedLink::WorkerChan::sendv(const flick_iov *Segs, size_t Count) {
-  size_t Total = 0;
-  for (size_t i = 0; i != Count; ++i)
-    Total += Segs[i].len;
-  Msg M;
-  M.Data = Pool.acquire(Total, &M.Cap);
-  if (!M.Data) {
-    flick_metric_add(&flick_metrics::alloc_errors, 1);
-    return FLICK_ERR_TRANSPORT;
-  }
-  size_t Off = 0;
-  for (size_t i = 0; i != Count; ++i) {
-    std::memcpy(M.Data + Off, Segs[i].base, Segs[i].len);
-    Off += Segs[i].len;
-  }
-  M.Len = Total;
-  if (flick_metrics_active) {
-    flick_metrics_active->bytes_copied += Total;
-    ++flick_metrics_active->copy_ops;
-  }
-  if (flick_trace_active)
-    flick_trace_stamp(&M.TraceId, &M.ParentSpan, &M.Endpoint);
-  M.Corr = CorrOut;
-  return sendReply(M);
-}
-
-int ShardedLink::WorkerChan::recv(std::vector<uint8_t> &Out) {
+int ShardedLink::WorkerChan::recvInto(flick_buf *Into) {
   Conn *From = nullptr;
-  Msg M;
+  WireMsg M;
   if (int Err = Link.popRequest(this, &From, &M))
     return Err;
   CurConn = From;
@@ -508,38 +398,6 @@ int ShardedLink::WorkerChan::recv(std::vector<uint8_t> &Out) {
   CorrOut = M.Corr;
   if (flick_trace_active)
     flick_trace_deposit(M.TraceId, M.ParentSpan, M.Endpoint);
-  Out.assign(M.Data, M.Data + M.Len);
-  if (flick_metrics_active) {
-    flick_metrics_active->bytes_copied += M.Len;
-    ++flick_metrics_active->copy_ops;
-  }
-  Pool.release(M.Data, M.Cap);
+  Pool.adopt(Into, M.Data, M.Cap, M.Len);
   return FLICK_OK;
-}
-
-int ShardedLink::WorkerChan::recvInto(flick_buf *Into) {
-  Conn *From = nullptr;
-  Msg M;
-  if (int Err = Link.popRequest(this, &From, &M))
-    return Err;
-  CurConn = From;
-  CorrIn = M.Corr;
-  CorrOut = M.Corr;
-  if (flick_trace_active)
-    flick_trace_deposit(M.TraceId, M.ParentSpan, M.Endpoint);
-  flick_buf_reset(Into);
-  Pool.release(Into->data, Into->cap);
-  Into->data = M.Data;
-  Into->cap = M.Cap;
-  Into->len = M.Len;
-  Into->pos = 0;
-  return FLICK_OK;
-}
-
-void ShardedLink::WorkerChan::release(flick_buf *Buf) {
-  Pool.release(Buf->data, Buf->cap);
-  Buf->data = nullptr;
-  Buf->cap = 0;
-  Buf->len = 0;
-  Buf->pos = 0;
 }

@@ -66,56 +66,36 @@ public:
   size_t shardDepth(size_t I) const;
 
 private:
-  /// As in ThreadedLink: pooled wire bytes plus out-of-band trace context
-  /// (with the sender's endpoint tag), the enqueue stamp for the flight
-  /// recorder's queue-wait gauge and the dequeue side's QUEUE span, and
-  /// the async client's correlation id (0 for synchronous callers).
-  struct Msg {
-    uint8_t *Data = nullptr;
-    size_t Cap = 0;
-    size_t Len = 0;
-    uint64_t TraceId = 0;
-    uint64_t ParentSpan = 0;
-    uint32_t Endpoint = 0;
-    uint64_t EnqNs = 0;
-    uint64_t Corr = 0;
-  };
-
   class Conn final : public Channel {
   public:
     Conn(ShardedLink &Link, size_t Shard) : Link(Link), Shard(Shard) {}
     ~Conn() override;
-    int send(const uint8_t *Data, size_t Len) override;
-    int recv(std::vector<uint8_t> &Out) override;
     int sendv(const flick_iov *Segs, size_t Count) override;
     int recvInto(flick_buf *Into) override;
-    void release(flick_buf *Buf) override;
+    void release(flick_buf *Buf) override { Pool.reclaim(Buf); }
 
   private:
     friend class ShardedLink;
-    int awaitReply(Msg *M);
+    int awaitReply(WireMsg *M);
 
     ShardedLink &Link;
     const size_t Shard; ///< the ring this connection's requests enter
     std::mutex RMu;
     std::condition_variable RCv;
-    std::deque<Msg> RepQ;
+    std::deque<WireMsg> RepQ;
     WireBufPool Pool;
   };
 
   class WorkerChan final : public Channel {
   public:
     WorkerChan(ShardedLink &Link, size_t Shard) : Link(Link), Shard(Shard) {}
-    int send(const uint8_t *Data, size_t Len) override;
-    int recv(std::vector<uint8_t> &Out) override;
+    /// Routes the reply to the connection of the last received request.
     int sendv(const flick_iov *Segs, size_t Count) override;
     int recvInto(flick_buf *Into) override;
-    void release(flick_buf *Buf) override;
+    void release(flick_buf *Buf) override { Pool.reclaim(Buf); }
 
   private:
     friend class ShardedLink;
-    int sendReply(Msg M);
-
     ShardedLink &Link;
     const size_t Shard; ///< preferred shard; steals from the rest
     Conn *CurConn = nullptr;
@@ -130,7 +110,7 @@ private:
     struct Cell {
       std::atomic<uint64_t> Seq;
       Conn *From;
-      Msg M;
+      WireMsg M;
     };
     std::unique_ptr<Cell[]> Cells;
     uint64_t Mask = 0;
@@ -138,17 +118,17 @@ private:
     alignas(64) std::atomic<uint64_t> Tail{0}; ///< next dequeue ticket
 
     void init(size_t Cap);
-    bool push(Conn *From, const Msg &M); ///< false when full
-    bool pop(Conn **From, Msg *M);       ///< false when empty
+    bool push(Conn *From, const WireMsg &M); ///< false when full
+    bool pop(Conn **From, WireMsg *M);       ///< false when empty
     size_t size() const;
   };
 
   void wireDelay(size_t Len);
-  int pushRequest(Conn *From, Msg M);
-  int popRequest(WorkerChan *W, Conn **From, Msg *M);
+  int pushRequest(Conn *From, WireMsg M);
+  int popRequest(WorkerChan *W, Conn **From, WireMsg *M);
   /// Pops from \p Pref first, then the other shards; accounts gauges and
   /// wakes one blocked sender on success.
-  bool tryPopAny(size_t Pref, Conn **From, Msg *M);
+  bool tryPopAny(size_t Pref, Conn **From, WireMsg *M);
   bool anyReady() const;
   void wakeWorker();
   void notifySpace();

@@ -29,21 +29,55 @@ static inline void countSyscall() {
   flick_gauge_add(&flick_gauges::sock_syscalls, 1);
 }
 
-/// Consumes \p N written bytes from the front of \p MH's iovec array.
+/// Consumes \p N written bytes from the front of \p MH's iovec array,
+/// together with any empty entries they reach: an empty segment left
+/// behind would keep the caller's send loop issuing zero-byte sendmsg
+/// calls forever.
 static void advanceIov(msghdr &MH, size_t N) {
-  while (N && MH.msg_iovlen) {
+  while (MH.msg_iovlen) {
     iovec &V = MH.msg_iov[0];
-    if (N >= V.iov_len) {
-      N -= V.iov_len;
-      ++MH.msg_iov;
-      --MH.msg_iovlen;
-    } else {
+    if (N < V.iov_len) {
       V.iov_base = static_cast<char *>(V.iov_base) + N;
       V.iov_len -= N;
-      N = 0;
+      return;
     }
+    N -= V.iov_len;
+    ++MH.msg_iov;
+    --MH.msg_iovlen;
   }
 }
+
+/// One outgoing frame, built alike by both endpoints' sendv: the header
+/// (payload length, the sender's trace context and correlation id) and
+/// one gather array -- the header first, then the caller's segments
+/// verbatim.  No staging buffer: this is the transport's zero-copy send
+/// path.
+struct SocketLink::Frame {
+  FrameHdr H;
+  iovec Stack[9];
+  std::vector<iovec> Heap;
+  iovec *Io = Stack;
+  size_t N;
+
+  Frame(const flick_iov *Segs, size_t Count, uint64_t Corr) : N(Count + 1) {
+    size_t Total = 0;
+    for (size_t I = 0; I != Count; ++I)
+      Total += Segs[I].len;
+    H = FrameHdr{Total, 0, 0, 0, 0, 0, Corr};
+    if (flick_trace_active)
+      flick_trace_stamp(&H.TraceId, &H.ParentSpan, &H.Endpoint);
+    if (N > sizeof Stack / sizeof Stack[0]) {
+      Heap.resize(N);
+      Io = Heap.data();
+    }
+    Io[0].iov_base = &H;
+    Io[0].iov_len = sizeof H;
+    for (size_t I = 0; I != Count; ++I) {
+      Io[I + 1].iov_base = const_cast<uint8_t *>(Segs[I].base);
+      Io[I + 1].iov_len = Segs[I].len;
+    }
+  }
+};
 
 //===----------------------------------------------------------------------===//
 // Link lifecycle
@@ -228,36 +262,17 @@ int SocketLink::Conn::writeIovs(iovec *Io, size_t NIov) {
   return FLICK_OK;
 }
 
-int SocketLink::Conn::sendFrame(const flick_iov *Segs, size_t Count,
-                                size_t Total) {
+int SocketLink::Conn::sendv(const flick_iov *Segs, size_t Count) {
   if (Fd < 0 || Link.Down.load(std::memory_order_acquire))
     return FLICK_ERR_TRANSPORT;
-  FrameHdr H = {Total, 0, 0, 0, 0, 0, CorrOut};
-  if (flick_trace_active)
-    flick_trace_stamp(&H.TraceId, &H.ParentSpan, &H.Endpoint);
-  Link.wireDelay(Total);
+  Frame F(Segs, Count, CorrOut);
+  Link.wireDelay(F.H.Len);
   // Stamp after the modeled wire sleep: the receiver's queue-wait
   // attribution then covers only real kernel-buffer time, never the
   // already-accounted WIRE span.
-  if (H.TraceId)
-    H.SendNs = flick_gauge_now_ns();
-
-  // One gather array: header first, then the caller's segments verbatim.
-  // No staging buffer -- this is the transport's zero-copy send path.
-  iovec Stack[9];
-  std::vector<iovec> Heap;
-  iovec *Io = Stack;
-  if (Count + 1 > sizeof Stack / sizeof Stack[0]) {
-    Heap.resize(Count + 1);
-    Io = Heap.data();
-  }
-  Io[0].iov_base = &H;
-  Io[0].iov_len = sizeof H;
-  for (size_t I = 0; I != Count; ++I) {
-    Io[I + 1].iov_base = const_cast<uint8_t *>(Segs[I].base);
-    Io[I + 1].iov_len = Segs[I].len;
-  }
-  return writeIovs(Io, Count + 1);
+  if (F.H.TraceId)
+    F.H.SendNs = flick_gauge_now_ns();
+  return writeIovs(F.Io, F.N);
 }
 
 int SocketLink::Conn::sendBatch(const flick_iov *const *Segs,
@@ -301,25 +316,10 @@ int SocketLink::Conn::sendBatch(const flick_iov *const *Segs,
   return writeIovs(Io.data(), NIov);
 }
 
-int SocketLink::Conn::send(const uint8_t *Data, size_t Len) {
-  flick_iov V;
-  V.base = Data;
-  V.len = Len;
-  return sendFrame(&V, 1, Len);
-}
-
-int SocketLink::Conn::sendv(const flick_iov *Segs, size_t Count) {
-  size_t Total = 0;
-  for (size_t I = 0; I != Count; ++I)
-    Total += Segs[I].len;
-  return sendFrame(Segs, Count, Total);
-}
-
 /// Reads exactly \p N bytes from the non-blocking client fd, polling
 /// through EAGAIN and failing fast on shutdown or EOF.
-static int readFullPolled(SocketLink &Link, std::atomic<bool> &Down, int Fd,
-                          void *Buf, size_t N) {
-  (void)Link;
+static int readFullPolled(std::atomic<bool> &Down, int Fd, void *Buf,
+                          size_t N) {
   uint8_t *P = static_cast<uint8_t *>(Buf);
   size_t Got = 0;
   while (Got != N) {
@@ -347,24 +347,10 @@ static int readFullPolled(SocketLink &Link, std::atomic<bool> &Down, int Fd,
 int SocketLink::Conn::recvHdr(FrameHdr *H) {
   if (Fd < 0)
     return FLICK_ERR_TRANSPORT;
-  if (int Err = readFullPolled(Link, Link.Down, Fd, H, sizeof *H))
+  if (int Err = readFullPolled(Link.Down, Fd, H, sizeof *H))
     return Err;
   if (H->Len > MaxFrameLen)
     return FLICK_ERR_TRANSPORT;
-  return FLICK_OK;
-}
-
-int SocketLink::Conn::recv(std::vector<uint8_t> &Out) {
-  FrameHdr H;
-  if (int Err = recvHdr(&H))
-    return Err;
-  CorrIn = H.Corr;
-  Out.resize(H.Len);
-  if (H.Len)
-    if (int Err = readFullPolled(Link, Link.Down, Fd, Out.data(), H.Len))
-      return Err;
-  if (flick_trace_active)
-    flick_trace_deposit(H.TraceId, H.ParentSpan, H.Endpoint);
   return FLICK_OK;
 }
 
@@ -380,7 +366,7 @@ int SocketLink::Conn::recvInto(flick_buf *Into) {
     return FLICK_ERR_TRANSPORT;
   }
   if (H.Len)
-    if (int Err = readFullPolled(Link, Link.Down, Fd, Data, H.Len)) {
+    if (int Err = readFullPolled(Link.Down, Fd, Data, H.Len)) {
       Pool.release(Data, Cap);
       return Err;
     }
@@ -388,21 +374,8 @@ int SocketLink::Conn::recvInto(flick_buf *Into) {
     flick_trace_deposit(H.TraceId, H.ParentSpan, H.Endpoint);
   // Receive by adoption, as everywhere: the pooled buffer the kernel
   // filled becomes the caller's flick_buf storage, no user-space copy.
-  flick_buf_reset(Into);
-  Pool.release(Into->data, Into->cap);
-  Into->data = Data;
-  Into->cap = Cap;
-  Into->len = H.Len;
-  Into->pos = 0;
+  Pool.adopt(Into, Data, Cap, H.Len);
   return FLICK_OK;
-}
-
-void SocketLink::Conn::release(flick_buf *Buf) {
-  Pool.release(Buf->data, Buf->cap);
-  Buf->data = nullptr;
-  Buf->cap = 0;
-  Buf->len = 0;
-  Buf->pos = 0;
 }
 
 //===----------------------------------------------------------------------===//
@@ -515,32 +488,15 @@ int SocketLink::WorkerChan::recvFrame(FrameHdr *H, uint8_t **Data,
   }
 }
 
-int SocketLink::WorkerChan::sendReply(const flick_iov *Segs, size_t Count,
-                                      size_t Total) {
+int SocketLink::WorkerChan::sendv(const flick_iov *Segs, size_t Count) {
   SConn *S = Cur;
   if (!S || S->Dead.load(std::memory_order_relaxed))
     return FLICK_ERR_TRANSPORT;
-  FrameHdr H = {Total, 0, 0, 0, 0, 0, CorrOut};
-  if (flick_trace_active)
-    flick_trace_stamp(&H.TraceId, &H.ParentSpan, &H.Endpoint);
-  Link.wireDelay(Total);
-
-  iovec Stack[9];
-  std::vector<iovec> Heap;
-  iovec *Io = Stack;
-  if (Count + 1 > sizeof Stack / sizeof Stack[0]) {
-    Heap.resize(Count + 1);
-    Io = Heap.data();
-  }
-  Io[0].iov_base = &H;
-  Io[0].iov_len = sizeof H;
-  for (size_t I = 0; I != Count; ++I) {
-    Io[I + 1].iov_base = const_cast<uint8_t *>(Segs[I].base);
-    Io[I + 1].iov_len = Segs[I].len;
-  }
+  Frame F(Segs, Count, CorrOut);
+  Link.wireDelay(F.H.Len);
   msghdr MH{};
-  MH.msg_iov = Io;
-  MH.msg_iovlen = Count + 1;
+  MH.msg_iov = F.Io;
+  MH.msg_iovlen = F.N;
 
   // Two workers can answer back-to-back requests from one connection;
   // the per-connection write lock keeps reply frames whole.
@@ -560,21 +516,7 @@ int SocketLink::WorkerChan::sendReply(const flick_iov *Segs, size_t Count,
   return FLICK_OK;
 }
 
-int SocketLink::WorkerChan::send(const uint8_t *Data, size_t Len) {
-  flick_iov V;
-  V.base = Data;
-  V.len = Len;
-  return sendReply(&V, 1, Len);
-}
-
-int SocketLink::WorkerChan::sendv(const flick_iov *Segs, size_t Count) {
-  size_t Total = 0;
-  for (size_t I = 0; I != Count; ++I)
-    Total += Segs[I].len;
-  return sendReply(Segs, Count, Total);
-}
-
-int SocketLink::WorkerChan::recv(std::vector<uint8_t> &Out) {
+int SocketLink::WorkerChan::recvInto(flick_buf *Into) {
   FrameHdr H;
   uint8_t *Data = nullptr;
   size_t Cap = 0;
@@ -586,38 +528,6 @@ int SocketLink::WorkerChan::recv(std::vector<uint8_t> &Out) {
   CorrOut = H.Corr;
   if (flick_trace_active)
     flick_trace_deposit(H.TraceId, H.ParentSpan, H.Endpoint);
-  Out.assign(Data, Data + H.Len);
-  if (flick_metrics_active) {
-    flick_metrics_active->bytes_copied += H.Len;
-    ++flick_metrics_active->copy_ops;
-  }
-  Pool.release(Data, Cap);
+  Pool.adopt(Into, Data, Cap, H.Len);
   return FLICK_OK;
-}
-
-int SocketLink::WorkerChan::recvInto(flick_buf *Into) {
-  FrameHdr H;
-  uint8_t *Data = nullptr;
-  size_t Cap = 0;
-  if (int Err = recvFrame(&H, &Data, &Cap))
-    return Err;
-  CorrIn = H.Corr;
-  CorrOut = H.Corr;
-  if (flick_trace_active)
-    flick_trace_deposit(H.TraceId, H.ParentSpan, H.Endpoint);
-  flick_buf_reset(Into);
-  Pool.release(Into->data, Into->cap);
-  Into->data = Data;
-  Into->cap = Cap;
-  Into->len = H.Len;
-  Into->pos = 0;
-  return FLICK_OK;
-}
-
-void SocketLink::WorkerChan::release(flick_buf *Buf) {
-  Pool.release(Buf->data, Buf->cap);
-  Buf->data = nullptr;
-  Buf->cap = 0;
-  Buf->len = 0;
-  Buf->pos = 0;
 }

@@ -18,12 +18,12 @@
 /// request-queue arbitration the other transports do in user space.
 ///
 /// The zero-copy story: sendv lowers straight to sendmsg scatter-gather
-/// (header + caller segments in one iovec array, no staging buffer) and
-/// flat send writes the caller's bytes directly, so the send side adds
-/// zero user-space copies; recvInto reads the payload into a pooled wire
-/// buffer and hands it to the caller by adoption.  Above the gather
-/// threshold a whole RPC's user-space copy bill is the marshal fill
-/// alone (copies_per_rpc ~ 1.0 in fig8's payload-normalized column).
+/// (header + caller segments in one iovec array, no staging buffer), so
+/// the send side adds zero user-space copies; recvInto reads the payload
+/// into a pooled wire buffer and hands it to the caller by adoption.
+/// Above the gather threshold a whole RPC's user-space copy bill is the
+/// marshal fill alone (copies_per_rpc ~ 1.0 in fig8's payload-normalized
+/// column).
 ///
 /// Flight-recorder hooks: sock_syscalls counts sendmsg/read/poll/
 /// epoll_wait issued, sock_eagain counts send-side would-block retries;
@@ -118,11 +118,11 @@ private:
     Conn(SocketLink &Link, int Fd, SConn *Server)
         : Link(Link), Fd(Fd), Server(Server) {}
     ~Conn() override;
-    int send(const uint8_t *Data, size_t Len) override;
-    int recv(std::vector<uint8_t> &Out) override;
+    /// Writes one frame (header + the gather segments) to the
+    /// non-blocking client fd, polling through EAGAIN.
     int sendv(const flick_iov *Segs, size_t Count) override;
     int recvInto(flick_buf *Into) override;
-    void release(flick_buf *Buf) override;
+    void release(flick_buf *Buf) override { Pool.reclaim(Buf); }
     /// Corked oneway batch: all frames (header + payload segments each)
     /// leave in ONE sendmsg, so N small requests pay one syscall.  The
     /// receiver parses them sequentially off the stream as usual.
@@ -131,12 +131,8 @@ private:
 
   private:
     friend class SocketLink;
-    /// Writes one frame (header + \p Count gather segments totalling
-    /// \p Total payload bytes) to the non-blocking client fd, polling
-    /// through EAGAIN.
-    int sendFrame(const flick_iov *Segs, size_t Count, size_t Total);
     /// Writes an arbitrary iovec array (already framed) to the fd,
-    /// polling through EAGAIN; shared by sendFrame and sendBatch.
+    /// polling through EAGAIN; shared by sendv and sendBatch.
     int writeIovs(struct iovec *Iov, size_t NIov);
     /// Blocks (poll + Down checks) for the next reply frame header.
     int recvHdr(FrameHdr *H);
@@ -150,11 +146,11 @@ private:
   class WorkerChan final : public Channel {
   public:
     explicit WorkerChan(SocketLink &Link) : Link(Link) {}
-    int send(const uint8_t *Data, size_t Len) override;
-    int recv(std::vector<uint8_t> &Out) override;
+    /// Writes the reply frame to the connection of the last received
+    /// request, under that connection's write lock.
     int sendv(const flick_iov *Segs, size_t Count) override;
     int recvInto(flick_buf *Into) override;
-    void release(flick_buf *Buf) override;
+    void release(flick_buf *Buf) override { Pool.reclaim(Buf); }
 
   private:
     friend class SocketLink;
@@ -162,12 +158,14 @@ private:
     /// one whole frame; on success Cur points at the request's
     /// connection.  The payload lands in a pool buffer (*Data/*Cap).
     int recvFrame(FrameHdr *H, uint8_t **Data, size_t *Cap);
-    int sendReply(const flick_iov *Segs, size_t Count, size_t Total);
 
     SocketLink &Link;
     SConn *Cur = nullptr;
     WireBufPool Pool;
   };
+
+  /// One outgoing frame: stamped header plus gather array (SocketLink.cpp).
+  struct Frame;
 
   void wireDelay(size_t Len);
   /// Removes \p S from the epoll set (idempotent); \p Error charges one

@@ -78,7 +78,7 @@ void ThreadedLink::wireDelay(size_t Len) {
   std::this_thread::sleep_for(std::chrono::duration<double, std::micro>(Us));
 }
 
-int ThreadedLink::pushRequest(Conn *From, Msg M) {
+int ThreadedLink::pushRequest(Conn *From, WireMsg M) {
   // The QMu acquisition is the known ~400K RPC/s ceiling: time it under
   // the flight recorder so the saturation is a measured curve, not an
   // inference from throughput flattening.
@@ -115,7 +115,7 @@ int ThreadedLink::pushRequest(Conn *From, Msg M) {
   return FLICK_OK;
 }
 
-int ThreadedLink::popRequest(Conn **From, Msg *M) {
+int ThreadedLink::popRequest(Conn **From, WireMsg *M) {
   uint64_t LockT0 = flick_gauge_lock_begin();
   std::unique_lock<std::mutex> L(QMu);
   flick_gauge_lock_end(LockT0);
@@ -148,11 +148,11 @@ int ThreadedLink::popRequest(Conn **From, Msg *M) {
 }
 
 ThreadedLink::Conn::~Conn() {
-  for (Msg &M : RepQ)
+  for (WireMsg &M : RepQ)
     std::free(M.Data);
 }
 
-int ThreadedLink::Conn::awaitReply(Msg *M) {
+int ThreadedLink::Conn::awaitReply(WireMsg *M) {
   std::unique_lock<std::mutex> L(RMu);
   RCv.wait(L, [&] {
     return !RepQ.empty() || Link.Down.load(std::memory_order_relaxed);
@@ -164,71 +164,16 @@ int ThreadedLink::Conn::awaitReply(Msg *M) {
   return FLICK_OK;
 }
 
-int ThreadedLink::Conn::send(const uint8_t *Data, size_t Len) {
-  Msg M;
-  M.Data = Pool.acquire(Len, &M.Cap);
-  if (!M.Data) {
-    flick_metric_add(&flick_metrics::alloc_errors, 1);
-    return FLICK_ERR_TRANSPORT;
-  }
-  std::memcpy(M.Data, Data, Len);
-  M.Len = Len;
-  if (flick_metrics_active) {
-    flick_metrics_active->bytes_copied += Len;
-    ++flick_metrics_active->copy_ops;
-  }
-  if (flick_trace_active)
-    flick_trace_stamp(&M.TraceId, &M.ParentSpan, &M.Endpoint);
-  M.Corr = CorrOut;
-  Link.wireDelay(Len);
-  return Link.pushRequest(this, M);
-}
-
 int ThreadedLink::Conn::sendv(const flick_iov *Segs, size_t Count) {
-  size_t Total = 0;
-  for (size_t i = 0; i != Count; ++i)
-    Total += Segs[i].len;
-  Msg M;
-  M.Data = Pool.acquire(Total, &M.Cap);
-  if (!M.Data) {
-    flick_metric_add(&flick_metrics::alloc_errors, 1);
-    return FLICK_ERR_TRANSPORT;
-  }
-  size_t Off = 0;
-  for (size_t i = 0; i != Count; ++i) {
-    std::memcpy(M.Data + Off, Segs[i].base, Segs[i].len);
-    Off += Segs[i].len;
-  }
-  M.Len = Total;
-  if (flick_metrics_active) {
-    flick_metrics_active->bytes_copied += Total;
-    ++flick_metrics_active->copy_ops;
-  }
-  if (flick_trace_active)
-    flick_trace_stamp(&M.TraceId, &M.ParentSpan, &M.Endpoint);
-  M.Corr = CorrOut;
-  Link.wireDelay(Total);
-  return Link.pushRequest(this, M);
-}
-
-int ThreadedLink::Conn::recv(std::vector<uint8_t> &Out) {
-  Msg M;
-  if (int Err = awaitReply(&M))
+  WireMsg M;
+  if (int Err = Pool.fill(&M, Segs, Count, CorrOut))
     return Err;
-  CorrIn = M.Corr;
-  if (flick_trace_active)
-    flick_trace_deposit(M.TraceId, M.ParentSpan, M.Endpoint);
-  Out.assign(M.Data, M.Data + M.Len);
-  if (flick_metrics_active) {
-    flick_metrics_active->bytes_copied += M.Len;
-    ++flick_metrics_active->copy_ops;
-  }
-  Pool.release(M.Data, M.Cap);
-  return FLICK_OK;
+  Link.wireDelay(M.Len);
+  return Link.pushRequest(this, M);
 }
 
 int ThreadedLink::Conn::recvInto(flick_buf *Into) {
-  Msg M;
+  WireMsg M;
   if (int Err = awaitReply(&M))
     return Err;
   CorrIn = M.Corr;
@@ -236,24 +181,14 @@ int ThreadedLink::Conn::recvInto(flick_buf *Into) {
     flick_trace_deposit(M.TraceId, M.ParentSpan, M.Endpoint);
   // Adopt the wire allocation whole, as in LocalLink; the buffer migrates
   // from the worker's pool to this connection's (both plain malloc).
-  flick_buf_reset(Into);
-  Pool.release(Into->data, Into->cap);
-  Into->data = M.Data;
-  Into->cap = M.Cap;
-  Into->len = M.Len;
-  Into->pos = 0;
+  Pool.adopt(Into, M.Data, M.Cap, M.Len);
   return FLICK_OK;
 }
 
-void ThreadedLink::Conn::release(flick_buf *Buf) {
-  Pool.release(Buf->data, Buf->cap);
-  Buf->data = nullptr;
-  Buf->cap = 0;
-  Buf->len = 0;
-  Buf->pos = 0;
-}
-
-int ThreadedLink::WorkerChan::sendReply(Msg M) {
+int ThreadedLink::WorkerChan::sendv(const flick_iov *Segs, size_t Count) {
+  WireMsg M;
+  if (int Err = Pool.fill(&M, Segs, Count, CorrOut))
+    return Err;
   Conn *To = CurConn;
   if (!To) {
     Pool.release(M.Data, M.Cap);
@@ -268,54 +203,9 @@ int ThreadedLink::WorkerChan::sendReply(Msg M) {
   return FLICK_OK;
 }
 
-int ThreadedLink::WorkerChan::send(const uint8_t *Data, size_t Len) {
-  Msg M;
-  M.Data = Pool.acquire(Len, &M.Cap);
-  if (!M.Data) {
-    flick_metric_add(&flick_metrics::alloc_errors, 1);
-    return FLICK_ERR_TRANSPORT;
-  }
-  std::memcpy(M.Data, Data, Len);
-  M.Len = Len;
-  if (flick_metrics_active) {
-    flick_metrics_active->bytes_copied += Len;
-    ++flick_metrics_active->copy_ops;
-  }
-  if (flick_trace_active)
-    flick_trace_stamp(&M.TraceId, &M.ParentSpan, &M.Endpoint);
-  M.Corr = CorrOut;
-  return sendReply(M);
-}
-
-int ThreadedLink::WorkerChan::sendv(const flick_iov *Segs, size_t Count) {
-  size_t Total = 0;
-  for (size_t i = 0; i != Count; ++i)
-    Total += Segs[i].len;
-  Msg M;
-  M.Data = Pool.acquire(Total, &M.Cap);
-  if (!M.Data) {
-    flick_metric_add(&flick_metrics::alloc_errors, 1);
-    return FLICK_ERR_TRANSPORT;
-  }
-  size_t Off = 0;
-  for (size_t i = 0; i != Count; ++i) {
-    std::memcpy(M.Data + Off, Segs[i].base, Segs[i].len);
-    Off += Segs[i].len;
-  }
-  M.Len = Total;
-  if (flick_metrics_active) {
-    flick_metrics_active->bytes_copied += Total;
-    ++flick_metrics_active->copy_ops;
-  }
-  if (flick_trace_active)
-    flick_trace_stamp(&M.TraceId, &M.ParentSpan, &M.Endpoint);
-  M.Corr = CorrOut;
-  return sendReply(M);
-}
-
-int ThreadedLink::WorkerChan::recv(std::vector<uint8_t> &Out) {
+int ThreadedLink::WorkerChan::recvInto(flick_buf *Into) {
   Conn *From = nullptr;
-  Msg M;
+  WireMsg M;
   if (int Err = Link.popRequest(&From, &M))
     return Err;
   CurConn = From;
@@ -325,38 +215,6 @@ int ThreadedLink::WorkerChan::recv(std::vector<uint8_t> &Out) {
   CorrOut = M.Corr;
   if (flick_trace_active)
     flick_trace_deposit(M.TraceId, M.ParentSpan, M.Endpoint);
-  Out.assign(M.Data, M.Data + M.Len);
-  if (flick_metrics_active) {
-    flick_metrics_active->bytes_copied += M.Len;
-    ++flick_metrics_active->copy_ops;
-  }
-  Pool.release(M.Data, M.Cap);
+  Pool.adopt(Into, M.Data, M.Cap, M.Len);
   return FLICK_OK;
-}
-
-int ThreadedLink::WorkerChan::recvInto(flick_buf *Into) {
-  Conn *From = nullptr;
-  Msg M;
-  if (int Err = Link.popRequest(&From, &M))
-    return Err;
-  CurConn = From;
-  CorrIn = M.Corr;
-  CorrOut = M.Corr;
-  if (flick_trace_active)
-    flick_trace_deposit(M.TraceId, M.ParentSpan, M.Endpoint);
-  flick_buf_reset(Into);
-  Pool.release(Into->data, Into->cap);
-  Into->data = M.Data;
-  Into->cap = M.Cap;
-  Into->len = M.Len;
-  Into->pos = 0;
-  return FLICK_OK;
-}
-
-void ThreadedLink::WorkerChan::release(flick_buf *Buf) {
-  Pool.release(Buf->data, Buf->cap);
-  Buf->data = nullptr;
-  Buf->cap = 0;
-  Buf->len = 0;
-  Buf->pos = 0;
 }

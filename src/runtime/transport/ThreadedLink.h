@@ -80,61 +80,36 @@ public:
   size_t pendingRequests() const override;
 
 private:
-  /// One queued message; bytes live in a pool-managed malloc allocation
-  /// and the sender's trace context (including its endpoint tag) rides out
-  /// of band, as in LocalLink.  EnqNs stamps when the request entered the
-  /// MPSC queue (gauge clock, 0 when neither the flight recorder nor the
-  /// sender's tracer is on) so the dequeue side can account the
-  /// enqueue-to-dequeue wait.  Corr is the async client's request
-  /// correlation id (0 for synchronous callers), riding out of band next
-  /// to the trace context so payload bytes never change.
-  struct Msg {
-    uint8_t *Data = nullptr;
-    size_t Cap = 0;
-    size_t Len = 0;
-    uint64_t TraceId = 0;
-    uint64_t ParentSpan = 0;
-    uint32_t Endpoint = 0;
-    uint64_t EnqNs = 0;
-    uint64_t Corr = 0;
-  };
-
   class Conn final : public Channel {
   public:
     explicit Conn(ThreadedLink &Link) : Link(Link) {}
     ~Conn() override;
-    int send(const uint8_t *Data, size_t Len) override;
-    int recv(std::vector<uint8_t> &Out) override;
     int sendv(const flick_iov *Segs, size_t Count) override;
     int recvInto(flick_buf *Into) override;
-    void release(flick_buf *Buf) override;
+    void release(flick_buf *Buf) override { Pool.reclaim(Buf); }
 
   private:
     friend class ThreadedLink;
     /// Blocks for the next reply (or shutdown).
-    int awaitReply(Msg *M);
+    int awaitReply(WireMsg *M);
 
     ThreadedLink &Link;
     std::mutex RMu;
     std::condition_variable RCv;
-    std::deque<Msg> RepQ;
+    std::deque<WireMsg> RepQ;
     WireBufPool Pool;
   };
 
   class WorkerChan final : public Channel {
   public:
     explicit WorkerChan(ThreadedLink &Link) : Link(Link) {}
-    int send(const uint8_t *Data, size_t Len) override;
-    int recv(std::vector<uint8_t> &Out) override;
+    /// Routes the reply to the connection of the last received request.
     int sendv(const flick_iov *Segs, size_t Count) override;
     int recvInto(flick_buf *Into) override;
-    void release(flick_buf *Buf) override;
+    void release(flick_buf *Buf) override { Pool.reclaim(Buf); }
 
   private:
     friend class ThreadedLink;
-    /// Finishes an outgoing reply: stamp, sleep, route to CurConn.
-    int sendReply(Msg M);
-
     ThreadedLink &Link;
     Conn *CurConn = nullptr; ///< connection of the last received request
     WireBufPool Pool;
@@ -145,17 +120,17 @@ private:
   void wireDelay(size_t Len);
   /// Blocking bounded push of a request; FLICK_ERR_TRANSPORT after
   /// shutdown (ownership of M.Data returns to \p From's pool).
-  int pushRequest(Conn *From, Msg M);
+  int pushRequest(Conn *From, WireMsg M);
   /// Blocking pop of the next request; drains the queue even after
   /// shutdown, then fails.
-  int popRequest(Conn **From, Msg *M);
+  int popRequest(Conn **From, WireMsg *M);
 
   mutable std::mutex QMu;
   std::condition_variable QNotEmpty;
   std::condition_variable QNotFull;
   struct Req {
     Conn *From;
-    Msg M;
+    WireMsg M;
   };
   std::deque<Req> ReqQ;
   const size_t QueueCap;

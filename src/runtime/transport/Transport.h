@@ -19,6 +19,12 @@
 ///                   sendv lowers to sendmsg scatter-gather and recvInto
 ///                   reads into pooled wire buffers.
 ///
+/// Every endpoint implements Channel's one send path (sendv) and one
+/// receive path (recvInto, then release).  The two queue transports move
+/// WireMsg buffers with WireBufPool's fill/adopt/reclaim (Channel.h), as
+/// LocalLink does; SocketLink gathers straight into sendmsg and adopts
+/// the pooled buffer it reads each frame into.
+///
 /// Shared semantics every implementation must honor (and that the
 /// TransportConformance suite checks):
 ///

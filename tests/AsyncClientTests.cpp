@@ -19,6 +19,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ChannelTestUtil.h"
 #include "runtime/Sampler.h"
 #include "runtime/flick_runtime.h"
 #include "runtime/transport/LocalLink.h"
@@ -65,19 +66,29 @@ public:
   std::deque<Frame> Sent;
   std::deque<Frame> Replies;
 
-  int send(const uint8_t *Data, size_t Len) override {
-    Sent.push_back({{Data, Data + Len}, CorrOut});
+  int sendv(const flick_iov *Segs, size_t Count) override {
+    Frame F{{}, CorrOut};
+    for (size_t I = 0; I != Count; ++I)
+      F.Bytes.insert(F.Bytes.end(), Segs[I].base, Segs[I].base + Segs[I].len);
+    Sent.push_back(std::move(F));
     return FLICK_OK;
   }
-  int recv(std::vector<uint8_t> &Out) override {
+  int recvInto(flick_buf *Into) override {
     if (Replies.empty())
       return FLICK_ERR_TRANSPORT;
-    Frame F = Replies.front();
+    Frame F = std::move(Replies.front());
     Replies.pop_front();
     CorrIn = F.Corr;
-    Out = std::move(F.Bytes);
+    flick_buf_reset(Into);
+    if (int Err = flick_buf_ensure(Into, F.Bytes.size()))
+      return Err;
+    if (!F.Bytes.empty())
+      std::memcpy(Into->data, F.Bytes.data(), F.Bytes.size());
+    Into->len = F.Bytes.size();
     return FLICK_OK;
   }
+  /// Replies are copied into the caller's storage, so nothing to reclaim.
+  void release(flick_buf *) override {}
 };
 
 void marshalPattern(flick_buf *Req, unsigned Seed, unsigned Call, size_t N) {
@@ -240,7 +251,7 @@ TEST(AsyncClient, PayloadBytesIdenticalToSyncClientAndSyncCarriesIdZero) {
   marshalPattern(flick_client_begin(&Sync), 11, 0, 200);
   ASSERT_EQ(flick_client_send_oneway(&Sync), FLICK_OK);
   std::vector<uint8_t> SyncBytes;
-  ASSERT_EQ(SyncL.serverEnd().recv(SyncBytes), FLICK_OK);
+  ASSERT_EQ(recvBytes(SyncL.serverEnd(), SyncBytes), FLICK_OK);
   EXPECT_EQ(SyncL.serverEnd().lastCorrelation(), 0u)
       << "synchronous traffic must stay id 0";
 
@@ -250,7 +261,7 @@ TEST(AsyncClient, PayloadBytesIdenticalToSyncClientAndSyncCarriesIdZero) {
   marshalPattern(flick_async_begin(&Async), 11, 0, 200);
   ASSERT_EQ(flick_async_submit(&Async, &Call), FLICK_OK);
   std::vector<uint8_t> AsyncBytes;
-  ASSERT_EQ(AsyncL.serverEnd().recv(AsyncBytes), FLICK_OK);
+  ASSERT_EQ(recvBytes(AsyncL.serverEnd(), AsyncBytes), FLICK_OK);
   EXPECT_EQ(AsyncL.serverEnd().lastCorrelation(), Call->id);
   EXPECT_NE(Call->id, 0u);
 
@@ -278,7 +289,7 @@ TEST(AsyncClient, OnewayCorkHoldsFramesUntilFlush) {
 
   for (unsigned I = 0; I != N; ++I) {
     std::vector<uint8_t> Got;
-    ASSERT_EQ(L.serverEnd().recv(Got), FLICK_OK);
+    ASSERT_EQ(recvBytes(L.serverEnd(), Got), FLICK_OK);
     std::vector<uint8_t> Want = pattern(12, I, 40 + I);
     EXPECT_EQ(Got, Want) << "corked frame " << I;
     EXPECT_EQ(L.serverEnd().lastCorrelation(), 0u) << "oneways carry id 0";
@@ -375,16 +386,16 @@ TEST_P(AsyncClientTransport, UnknownAndDuplicateIdsFromAWorkerAreDropped) {
   ASSERT_EQ(flick_async_submit(&Cli, &Call), FLICK_OK);
 
   std::vector<uint8_t> Req;
-  ASSERT_EQ(Worker.recv(Req), FLICK_OK);
+  ASSERT_EQ(recvBytes(Worker, Req), FLICK_OK);
   EXPECT_EQ(Worker.lastCorrelation(), Call->id);
   uint8_t Junk[4] = {1, 2, 3, 4};
   // A misbehaving peer: a reply with a bogus id, a correct reply, and a
   // duplicate of the correct reply.
   Worker.setCorrelation(0xBADBADull);
-  ASSERT_EQ(Worker.send(Junk, sizeof Junk), FLICK_OK);
+  ASSERT_EQ(sendBytes(Worker, Junk, sizeof Junk), FLICK_OK);
   Worker.setCorrelation(Call->id);
-  ASSERT_EQ(Worker.send(Req.data(), Req.size()), FLICK_OK);
-  ASSERT_EQ(Worker.send(Req.data(), Req.size()), FLICK_OK);
+  ASSERT_EQ(sendBytes(Worker, Req.data(), Req.size()), FLICK_OK);
+  ASSERT_EQ(sendBytes(Worker, Req.data(), Req.size()), FLICK_OK);
 
   EXPECT_EQ(flick_async_wait(&Cli, Call), FLICK_OK);
   ASSERT_EQ(Call->rep.len, Req.size());
@@ -398,8 +409,8 @@ TEST_P(AsyncClientTransport, UnknownAndDuplicateIdsFromAWorkerAreDropped) {
   marshalPattern(flick_async_begin(&Cli), 22, 1, 32);
   ASSERT_EQ(flick_async_submit(&Cli, &Second), FLICK_OK);
   std::vector<uint8_t> Req2;
-  ASSERT_EQ(Worker.recv(Req2), FLICK_OK);
-  ASSERT_EQ(Worker.send(Req2.data(), Req2.size()), FLICK_OK);
+  ASSERT_EQ(recvBytes(Worker, Req2), FLICK_OK);
+  ASSERT_EQ(sendBytes(Worker, Req2.data(), Req2.size()), FLICK_OK);
   EXPECT_EQ(flick_async_wait(&Cli, Second), FLICK_OK);
   EXPECT_EQ(Scope.M.corr_drops, 2u) << "stale duplicate dropped, not matched";
   ASSERT_EQ(Second->rep.len, Req2.size());
@@ -451,7 +462,7 @@ TEST_P(AsyncClientTransport, CorkedBatchArrivesIntactFrameByFrame) {
   // all of them in a single sendmsg and the receiver re-frames the stream.
   for (unsigned I = 0; I != N; ++I) {
     std::vector<uint8_t> Got;
-    ASSERT_EQ(Worker.recv(Got), FLICK_OK) << "frame " << I;
+    ASSERT_EQ(recvBytes(Worker, Got), FLICK_OK) << "frame " << I;
     std::vector<uint8_t> Want = pattern(24, I, 100 + 13 * I);
     EXPECT_EQ(Got, Want) << "frame " << I;
     EXPECT_EQ(Worker.lastCorrelation(), 0u);

@@ -9,13 +9,13 @@
 /// Tests for the zero-copy message-path plumbing: flick_buf borrowed
 /// segments (flick_buf_ref / flick_buf_iovec), the LocalLink wire-buffer
 /// free list (reuse, growth under outstanding messages, exhaustion
-/// fallback, alignment of adopted buffers), and the base-Channel staging
-/// defaults that keep flat-only transports working.
+/// fallback, alignment of adopted buffers).
 ///
 //===----------------------------------------------------------------------===//
 
-#include "runtime/transport/LocalLink.h"
+#include "ChannelTestUtil.h"
 #include "runtime/flick_runtime.h"
+#include "runtime/transport/LocalLink.h"
 #include <cstring>
 #include <gtest/gtest.h>
 #include <vector>
@@ -142,14 +142,14 @@ TEST(BufferPool, ReleasedBufferIsReusedByTheNextSend) {
   ScopedMetrics S;
   LocalLink L;
   std::vector<uint8_t> Msg(100, 0x42), Out;
-  ASSERT_EQ(L.clientEnd().send(Msg.data(), Msg.size()), FLICK_OK);
+  ASSERT_EQ(sendBytes(L.clientEnd(), Msg.data(), Msg.size()), FLICK_OK);
   EXPECT_EQ(S.M.pool_misses, 1u);
-  ASSERT_EQ(L.serverEnd().recv(Out), FLICK_OK); // releases to the pool
+  ASSERT_EQ(recvBytes(L.serverEnd(), Out), FLICK_OK); // releases to the pool
   EXPECT_EQ(Out, Msg);
-  ASSERT_EQ(L.clientEnd().send(Msg.data(), Msg.size()), FLICK_OK);
+  ASSERT_EQ(sendBytes(L.clientEnd(), Msg.data(), Msg.size()), FLICK_OK);
   EXPECT_EQ(S.M.pool_hits, 1u);
   EXPECT_EQ(S.M.pool_misses, 1u);
-  ASSERT_EQ(L.serverEnd().recv(Out), FLICK_OK);
+  ASSERT_EQ(recvBytes(L.serverEnd(), Out), FLICK_OK);
 }
 
 TEST(BufferPool, GrowsUnderConcurrentOutstandingMessages) {
@@ -160,18 +160,18 @@ TEST(BufferPool, GrowsUnderConcurrentOutstandingMessages) {
   std::vector<uint8_t> Msg(64, 0x07), Out;
   const size_t Outstanding = 5;
   for (size_t I = 0; I != Outstanding; ++I)
-    ASSERT_EQ(L.clientEnd().send(Msg.data(), Msg.size()), FLICK_OK);
+    ASSERT_EQ(sendBytes(L.clientEnd(), Msg.data(), Msg.size()), FLICK_OK);
   EXPECT_EQ(S.M.pool_misses, Outstanding);
   EXPECT_EQ(L.pendingToServer(), Outstanding);
   for (size_t I = 0; I != Outstanding; ++I)
-    ASSERT_EQ(L.serverEnd().recv(Out), FLICK_OK);
+    ASSERT_EQ(recvBytes(L.serverEnd(), Out), FLICK_OK);
   // All five allocations are parked now; five more sends are all hits.
   for (size_t I = 0; I != Outstanding; ++I)
-    ASSERT_EQ(L.clientEnd().send(Msg.data(), Msg.size()), FLICK_OK);
+    ASSERT_EQ(sendBytes(L.clientEnd(), Msg.data(), Msg.size()), FLICK_OK);
   EXPECT_EQ(S.M.pool_hits, Outstanding);
   EXPECT_EQ(S.M.pool_misses, Outstanding);
   for (size_t I = 0; I != Outstanding; ++I)
-    ASSERT_EQ(L.serverEnd().recv(Out), FLICK_OK);
+    ASSERT_EQ(recvBytes(L.serverEnd(), Out), FLICK_OK);
 }
 
 TEST(BufferPool, ExhaustionFallsBackToFreshAllocation) {
@@ -182,16 +182,16 @@ TEST(BufferPool, ExhaustionFallsBackToFreshAllocation) {
   std::vector<uint8_t> Msg(32, 0x3F), Out;
   const size_t Burst = size_t(8) + 4; // PoolMaxBufs + 4
   for (size_t I = 0; I != Burst; ++I)
-    ASSERT_EQ(L.clientEnd().send(Msg.data(), Msg.size()), FLICK_OK);
+    ASSERT_EQ(sendBytes(L.clientEnd(), Msg.data(), Msg.size()), FLICK_OK);
   EXPECT_EQ(S.M.pool_misses, Burst);
   for (size_t I = 0; I != Burst; ++I)
-    ASSERT_EQ(L.serverEnd().recv(Out), FLICK_OK); // only 8 can park
+    ASSERT_EQ(recvBytes(L.serverEnd(), Out), FLICK_OK); // only 8 can park
   for (size_t I = 0; I != Burst; ++I)
-    ASSERT_EQ(L.clientEnd().send(Msg.data(), Msg.size()), FLICK_OK);
+    ASSERT_EQ(sendBytes(L.clientEnd(), Msg.data(), Msg.size()), FLICK_OK);
   EXPECT_EQ(S.M.pool_hits, 8u);
   EXPECT_EQ(S.M.pool_misses, Burst + (Burst - 8));
   for (size_t I = 0; I != Burst; ++I)
-    ASSERT_EQ(L.serverEnd().recv(Out), FLICK_OK);
+    ASSERT_EQ(recvBytes(L.serverEnd(), Out), FLICK_OK);
 }
 
 TEST(BufferPool, AdoptedReceiveBuffersAreMaxAligned) {
@@ -200,7 +200,7 @@ TEST(BufferPool, AdoptedReceiveBuffersAreMaxAligned) {
   // malloc guarantees.
   LocalLink L;
   std::vector<uint8_t> Msg(48, 0x66);
-  ASSERT_EQ(L.clientEnd().send(Msg.data(), Msg.size()), FLICK_OK);
+  ASSERT_EQ(sendBytes(L.clientEnd(), Msg.data(), Msg.size()), FLICK_OK);
   flick_buf B;
   flick_buf_init(&B);
   ASSERT_EQ(L.serverEnd().recvInto(&B), FLICK_OK);
@@ -223,52 +223,11 @@ TEST(BufferPool, GatheredSendLandsInOnePooledBuffer) {
   EXPECT_EQ(Copied, sizeof(Head) + Body.size()); // written exactly once
 
   std::vector<uint8_t> Out;
-  ASSERT_EQ(L.serverEnd().recv(Out), FLICK_OK);
+  ASSERT_EQ(recvBytes(L.serverEnd(), Out), FLICK_OK);
   ASSERT_EQ(Out.size(), sizeof(Head) + Body.size());
   EXPECT_EQ(std::memcmp(Out.data(), Head, sizeof(Head)), 0);
   EXPECT_EQ(std::memcmp(Out.data() + sizeof(Head), Body.data(), Body.size()),
             0);
-}
-
-//===----------------------------------------------------------------------===//
-// Base-Channel staging defaults (flat-only transports keep working)
-//===----------------------------------------------------------------------===//
-
-/// A transport that implements only the flat pair, like any pre-gather
-/// Channel subclass would.
-class FlatOnlyChan : public Channel {
-public:
-  int send(const uint8_t *Data, size_t Len) override {
-    Q.emplace_back(Data, Data + Len);
-    return FLICK_OK;
-  }
-  int recv(std::vector<uint8_t> &Out) override {
-    if (Q.empty())
-      return FLICK_ERR_TRANSPORT;
-    Out = std::move(Q.front());
-    Q.pop_front();
-    return FLICK_OK;
-  }
-
-private:
-  std::deque<std::vector<uint8_t>> Q;
-};
-
-TEST(BufferPool, DefaultSendvFlattensForFlatOnlyTransports) {
-  ScopedMetrics S;
-  FlatOnlyChan Ch;
-  uint8_t A[4] = {'a', 'b', 'c', 'd'};
-  uint8_t B[3] = {'e', 'f', 'g'};
-  flick_iov Iov[2] = {{A, sizeof(A)}, {B, sizeof(B)}};
-  ASSERT_EQ(flick_channel_sendv(&Ch, Iov, 2), FLICK_OK);
-  EXPECT_GE(S.M.bytes_copied, 7u); // the staging copy is accounted
-
-  flick_buf Into;
-  flick_buf_init(&Into);
-  ASSERT_EQ(flick_channel_recv(&Ch, &Into), FLICK_OK);
-  ASSERT_EQ(Into.len, 7u);
-  EXPECT_EQ(std::memcmp(Into.data, "abcdefg", 7), 0);
-  flick_buf_destroy(&Into);
 }
 
 } // namespace

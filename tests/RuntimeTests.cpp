@@ -5,8 +5,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "runtime/transport/LocalLink.h"
+#include "ChannelTestUtil.h"
 #include "runtime/NetworkModel.h"
+#include "runtime/transport/LocalLink.h"
 #include "runtime/flick_runtime.h"
 #include <algorithm>
 #include <gtest/gtest.h>
@@ -175,14 +176,14 @@ TEST(Channel, LocalLinkDeliversInOrder) {
   LocalLink Link;
   uint8_t A[] = {1, 2, 3};
   uint8_t B[] = {9};
-  EXPECT_EQ(Link.clientEnd().send(A, 3), FLICK_OK);
-  EXPECT_EQ(Link.clientEnd().send(B, 1), FLICK_OK);
+  EXPECT_EQ(sendBytes(Link.clientEnd(), A, 3), FLICK_OK);
+  EXPECT_EQ(sendBytes(Link.clientEnd(), B, 1), FLICK_OK);
   std::vector<uint8_t> Msg;
-  EXPECT_EQ(Link.serverEnd().recv(Msg), FLICK_OK);
+  EXPECT_EQ(recvBytes(Link.serverEnd(), Msg), FLICK_OK);
   EXPECT_EQ(Msg, std::vector<uint8_t>({1, 2, 3}));
-  EXPECT_EQ(Link.serverEnd().recv(Msg), FLICK_OK);
+  EXPECT_EQ(recvBytes(Link.serverEnd(), Msg), FLICK_OK);
   EXPECT_EQ(Msg, std::vector<uint8_t>({9}));
-  EXPECT_EQ(Link.serverEnd().recv(Msg), FLICK_ERR_TRANSPORT);
+  EXPECT_EQ(recvBytes(Link.serverEnd(), Msg), FLICK_ERR_TRANSPORT);
 }
 
 TEST(Channel, ClientRecvPumpsServer) {
@@ -191,10 +192,10 @@ TEST(Channel, ClientRecvPumpsServer) {
   Link.setPump([&] {
     ++Pumps;
     uint8_t R[] = {7};
-    return Link.serverEnd().send(R, 1) == FLICK_OK;
+    return sendBytes(Link.serverEnd(), R, 1) == FLICK_OK;
   });
   std::vector<uint8_t> Msg;
-  EXPECT_EQ(Link.clientEnd().recv(Msg), FLICK_OK);
+  EXPECT_EQ(recvBytes(Link.clientEnd(), Msg), FLICK_OK);
   EXPECT_EQ(Pumps, 1);
   EXPECT_EQ(Msg, std::vector<uint8_t>({7}));
 }
@@ -208,7 +209,7 @@ TEST(Channel, SimClockAccumulatesWireTime) {
   M.MtuBytes = 0;
   Link.setModel(M, &Clock);
   std::vector<uint8_t> Payload(1000);
-  Link.clientEnd().send(Payload.data(), Payload.size());
+  sendBytes(Link.clientEnd(), Payload.data(), Payload.size());
   EXPECT_NEAR(Clock.totalUs(), 1100.0, 0.001);
 }
 
@@ -254,9 +255,9 @@ TEST(NaivePrims, PutGetRoundTrip) {
 TEST(Channel, ClientRecvFailsOnEmptyLinkWithNoPump) {
   LocalLink Link;
   std::vector<uint8_t> Out;
-  EXPECT_EQ(Link.clientEnd().recv(Out), FLICK_ERR_TRANSPORT);
+  EXPECT_EQ(recvBytes(Link.clientEnd(), Out), FLICK_ERR_TRANSPORT);
   // Server side fails the same way: it never pumps.
-  EXPECT_EQ(Link.serverEnd().recv(Out), FLICK_ERR_TRANSPORT);
+  EXPECT_EQ(recvBytes(Link.serverEnd(), Out), FLICK_ERR_TRANSPORT);
 }
 
 TEST(Channel, PumpReturningFalseIsTransportError) {
@@ -267,7 +268,7 @@ TEST(Channel, PumpReturningFalseIsTransportError) {
     return false;
   });
   std::vector<uint8_t> Out{1, 2, 3};
-  EXPECT_EQ(Link.clientEnd().recv(Out), FLICK_ERR_TRANSPORT);
+  EXPECT_EQ(recvBytes(Link.clientEnd(), Out), FLICK_ERR_TRANSPORT);
   EXPECT_EQ(Pumps, 1) << "a failing pump must not be retried";
 }
 
@@ -275,19 +276,30 @@ TEST(Channel, PendingToServerAccounting) {
   LocalLink Link;
   EXPECT_EQ(Link.pendingToServer(), 0u);
   uint8_t Msg[4] = {1, 2, 3, 4};
-  ASSERT_EQ(Link.clientEnd().send(Msg, 4), FLICK_OK);
-  ASSERT_EQ(Link.clientEnd().send(Msg, 2), FLICK_OK);
+  ASSERT_EQ(sendBytes(Link.clientEnd(), Msg, 4), FLICK_OK);
+  ASSERT_EQ(sendBytes(Link.clientEnd(), Msg, 2), FLICK_OK);
   EXPECT_EQ(Link.pendingToServer(), 2u);
   // Server->client traffic must not count toward the server queue.
-  ASSERT_EQ(Link.serverEnd().send(Msg, 4), FLICK_OK);
+  ASSERT_EQ(sendBytes(Link.serverEnd(), Msg, 4), FLICK_OK);
   EXPECT_EQ(Link.pendingToServer(), 2u);
   std::vector<uint8_t> Out;
-  ASSERT_EQ(Link.serverEnd().recv(Out), FLICK_OK);
+  ASSERT_EQ(recvBytes(Link.serverEnd(), Out), FLICK_OK);
   EXPECT_EQ(Out.size(), 4u);
   EXPECT_EQ(Link.pendingToServer(), 1u);
-  ASSERT_EQ(Link.serverEnd().recv(Out), FLICK_OK);
+  ASSERT_EQ(recvBytes(Link.serverEnd(), Out), FLICK_OK);
   EXPECT_EQ(Out.size(), 2u);
   EXPECT_EQ(Link.pendingToServer(), 0u);
+}
+
+TEST(Channel, LocalLinkEmptyMessagesRoundTrip) {
+  LocalLink Link;
+  expectEmptyMessagesRoundTrip(Link.clientEnd(), Link.serverEnd());
+}
+
+TEST(Channel, LocalLinkRecvIntoResetsDirtyBuffer) {
+  LocalLink Link;
+  expectRecvIntoResetsDirtyBuffer(Link.clientEnd(), Link.serverEnd());
+  expectRecvIntoResetsDirtyBuffer(Link.serverEnd(), Link.clientEnd());
 }
 
 TEST(ClientServer, BuffersAreReusedAcrossCalls) {

@@ -15,6 +15,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ChannelTestUtil.h"
 #include "runtime/Sampler.h"
 #include "runtime/flick_runtime.h"
 #include "runtime/transport/ShardedLink.h"
@@ -83,9 +84,9 @@ TEST(ShardedLink, ShardDepthTracksPerRingOccupancy) {
   Channel &C1 = Link.connect();
   uint8_t B[8] = {};
   for (int I = 0; I != 3; ++I)
-    ASSERT_EQ(C0.send(B, sizeof B), FLICK_OK);
+    ASSERT_EQ(sendBytes(C0, B, sizeof B), FLICK_OK);
   for (int I = 0; I != 2; ++I)
-    ASSERT_EQ(C1.send(B, sizeof B), FLICK_OK);
+    ASSERT_EQ(sendBytes(C1, B, sizeof B), FLICK_OK);
   EXPECT_EQ(Link.shardDepth(0), 3u);
   EXPECT_EQ(Link.shardDepth(1), 2u);
   EXPECT_EQ(Link.shardDepth(99), 0u); // out of range reads as empty
@@ -98,7 +99,7 @@ TEST(ShardedLink, ShardDepthTracksPerRingOccupancy) {
   Channel &W = Link.workerEnd();
   std::vector<uint8_t> Out;
   for (int I = 0; I != 5; ++I)
-    ASSERT_EQ(W.recv(Out), FLICK_OK);
+    ASSERT_EQ(recvBytes(W, Out), FLICK_OK);
   EXPECT_EQ(Link.shardDepth(0), 0u);
   EXPECT_EQ(Link.shardDepth(1), 0u);
   EXPECT_EQ(flick_gauges_global.shard_depth[0].load(), 0u);
@@ -114,11 +115,11 @@ TEST(ShardedLink, WorkerStealsFromOtherShards) {
   Channel &C1 = Link.connect();    // shard 1
   Channel &W = Link.workerEnd();   // prefers shard 0
   uint8_t B[4] = {0x5E, 0, 0, 0};
-  ASSERT_EQ(C1.send(B, sizeof B), FLICK_OK);
+  ASSERT_EQ(sendBytes(C1, B, sizeof B), FLICK_OK);
   std::vector<uint8_t> Out;
   // The only pending request sits in shard 1; the worker's sweep must
   // cross over and the crossing must be visible as a steal.
-  ASSERT_EQ(W.recv(Out), FLICK_OK);
+  ASSERT_EQ(recvBytes(W, Out), FLICK_OK);
   ASSERT_EQ(Out.size(), 4u);
   EXPECT_EQ(Out[0], 0x5E);
   EXPECT_EQ(flick_gauges_global.steals.load(), 1u);
@@ -131,14 +132,14 @@ TEST(ShardedLink, RingWaitAccountsBlockedSenders) {
   ShardedLink Link(/*ShardCap=*/2, /*Shards=*/1);
   Channel &C = Link.connect();
   uint8_t B[4] = {1, 2, 3, 4};
-  ASSERT_EQ(C.send(B, sizeof B), FLICK_OK); // fills the two-cell ring
-  ASSERT_EQ(C.send(B, sizeof B), FLICK_OK);
+  ASSERT_EQ(sendBytes(C, B, sizeof B), FLICK_OK); // fills the two-cell ring
+  ASSERT_EQ(sendBytes(C, B, sizeof B), FLICK_OK);
 
   flick_metrics SenderM;
   int SendErr = -1;
   std::thread Sender([&] {
     flick_metrics_enable(&SenderM);
-    SendErr = C.send(B, sizeof B); // meets the full ring, blocks
+    SendErr = sendBytes(C, B, sizeof B); // meets the full ring, blocks
     flick_metrics_disable();
   });
   while (flick_gauges_global.queue_full_waits.load(
@@ -149,9 +150,9 @@ TEST(ShardedLink, RingWaitAccountsBlockedSenders) {
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
   Channel &W = Link.workerEnd();
   std::vector<uint8_t> Out;
-  ASSERT_EQ(W.recv(Out), FLICK_OK);
-  ASSERT_EQ(W.recv(Out), FLICK_OK);
-  ASSERT_EQ(W.recv(Out), FLICK_OK);
+  ASSERT_EQ(recvBytes(W, Out), FLICK_OK);
+  ASSERT_EQ(recvBytes(W, Out), FLICK_OK);
+  ASSERT_EQ(recvBytes(W, Out), FLICK_OK);
   Sender.join();
   EXPECT_EQ(SendErr, FLICK_OK);
   EXPECT_EQ(SenderM.queue_full, 1u);
@@ -197,7 +198,7 @@ TEST(ShardedLink, ShutdownRacesActiveSenders) {
       for (int K = 0; K != 200; ++K)
         // With tiny rings and no workers each sender soon blocks; the
         // racing shutdown must fail it out, never strand it.
-        if (C.send(B, sizeof B) != FLICK_OK)
+        if (sendBytes(C, B, sizeof B) != FLICK_OK)
           return;
     });
   Link.shutdown();
@@ -205,7 +206,7 @@ TEST(ShardedLink, ShutdownRacesActiveSenders) {
     T.join(); // the assertion is that this returns at all
   Channel &C = Link.connect();
   uint8_t B[4] = {};
-  EXPECT_EQ(C.send(B, sizeof B), FLICK_ERR_TRANSPORT);
+  EXPECT_EQ(sendBytes(C, B, sizeof B), FLICK_ERR_TRANSPORT);
 }
 
 } // namespace

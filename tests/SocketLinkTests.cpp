@@ -7,8 +7,8 @@
 ///
 /// \file
 /// SocketLink specifics beyond the TransportConformance contract: the
-/// zero-copy send path (sendv adds no user-space copy; a whole RPC's
-/// copy bill is the worker's one receive copy), kernel backpressure via
+/// zero-copy message path (neither the sendmsg gather nor receive by
+/// adoption adds a user-space copy), kernel backpressure via
 /// EAGAIN with the sock_eagain/sock_syscalls gauges, pooled-buffer
 /// recycling through receive-by-adoption, and fault containment -- a
 /// peer that vanishes mid-frame costs exactly one transport_errors
@@ -17,6 +17,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ChannelTestUtil.h"
 #include "runtime/Sampler.h"
 #include "runtime/flick_runtime.h"
 #include "runtime/transport/SocketLink.h"
@@ -97,24 +98,31 @@ TEST(SocketLink, SendSideAddsNoUserSpaceCopies) {
   EXPECT_EQ(Scope.M.bytes_copied, 0u);
   EXPECT_EQ(Scope.M.copy_ops, 0u);
 
-  // The worker's vector recv is the one honest copy of the request path.
-  std::vector<uint8_t> Req;
-  ASSERT_EQ(W.recv(Req), FLICK_OK);
-  ASSERT_EQ(Req.size(), Total);
-  EXPECT_EQ(Scope.M.bytes_copied, Total);
-  EXPECT_EQ(Scope.M.copy_ops, 1u);
+  // The worker reads the frame into a pooled buffer and adopts it: the
+  // kernel's copy out of the socket is the only one.
+  flick_buf Req;
+  flick_buf_init(&Req);
+  ASSERT_EQ(W.recvInto(&Req), FLICK_OK);
+  ASSERT_EQ(Req.len, Total);
+  EXPECT_EQ(std::memcmp(Req.data, A.data(), A.size()), 0);
+  EXPECT_EQ(std::memcmp(Req.data + A.size(), B.data(), B.size()), 0);
+  EXPECT_EQ(Scope.M.bytes_copied, 0u);
+  EXPECT_EQ(Scope.M.copy_ops, 0u);
 
-  // Reply via sendv and receive by adoption: still no further copies, so
-  // the whole round trip billed exactly one payload copy.
-  flick_iov Rep[1] = {{Req.data(), Req.size()}};
-  ASSERT_EQ(W.sendv(Rep, 1), FLICK_OK);
+  // Reply straight out of the adopted request, receive by adoption: the
+  // whole round trip moved the payload without a user-space copy.
+  ASSERT_EQ(sendBytes(W, Req.data, Req.len), FLICK_OK);
+  W.release(&Req);
   flick_buf Got;
   flick_buf_init(&Got);
   ASSERT_EQ(C.recvInto(&Got), FLICK_OK);
-  EXPECT_EQ(Got.len, Total);
+  ASSERT_EQ(Got.len, Total);
+  EXPECT_EQ(std::memcmp(Got.data + A.size(), B.data(), B.size()), 0);
   C.release(&Got);
-  EXPECT_EQ(Scope.M.bytes_copied, Total);
-  EXPECT_EQ(Scope.M.copy_ops, 1u);
+  EXPECT_EQ(Scope.M.bytes_copied, 0u);
+  EXPECT_EQ(Scope.M.copy_ops, 0u);
+  flick_buf_destroy(&Req);
+  flick_buf_destroy(&Got);
   Link.shutdown();
 }
 
@@ -129,7 +137,7 @@ TEST(SocketLink, KernelBackpressureShowsAsEagainGauges) {
   int SendErr = -1;
   std::thread Sender([&] {
     flick_metrics_enable(&SenderM);
-    SendErr = C.send(Big.data(), Big.size());
+    SendErr = sendBytes(C, Big.data(), Big.size());
     flick_metrics_disable();
   });
   while (flick_gauges_global.sock_eagain.load(std::memory_order_relaxed) ==
@@ -138,7 +146,7 @@ TEST(SocketLink, KernelBackpressureShowsAsEagainGauges) {
   // A worker consuming the frame frees buffer space; the sender's polled
   // retries then complete the megabyte.
   std::vector<uint8_t> Out;
-  ASSERT_EQ(W.recv(Out), FLICK_OK);
+  ASSERT_EQ(recvBytes(W, Out), FLICK_OK);
   Sender.join();
   EXPECT_EQ(SendErr, FLICK_OK);
   EXPECT_EQ(Out.size(), Big.size());
@@ -160,11 +168,11 @@ TEST(SocketLink, AdoptionRecyclesPooledWireBuffers) {
   flick_buf_init(&Req);
   // First receive adopts a freshly malloc'd pool buffer; releasing it
   // parks it, and the second receive must reuse it (a pool hit).
-  ASSERT_EQ(C.send(B, sizeof B), FLICK_OK);
+  ASSERT_EQ(sendBytes(C, B, sizeof B), FLICK_OK);
   ASSERT_EQ(W.recvInto(&Req), FLICK_OK);
   W.release(&Req);
   uint64_t HitsBefore = flick_gauges_global.pool_gauge_hits.load();
-  ASSERT_EQ(C.send(B, sizeof B), FLICK_OK);
+  ASSERT_EQ(sendBytes(C, B, sizeof B), FLICK_OK);
   ASSERT_EQ(W.recvInto(&Req), FLICK_OK);
   EXPECT_GT(flick_gauges_global.pool_gauge_hits.load(), HitsBefore);
   W.release(&Req);

@@ -15,8 +15,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "runtime/transport/ThreadedLink.h"
+#include "ChannelTestUtil.h"
 #include "runtime/flick_runtime.h"
+#include "runtime/transport/ThreadedLink.h"
 #include <atomic>
 #include <cstring>
 #include <gtest/gtest.h>
@@ -143,7 +144,7 @@ TEST(ServerPool, DrainsQueuedRequestsBeforeStopping) {
   const int K = 7;
   for (int I = 0; I != K; ++I) {
     uint8_t B[8] = {static_cast<uint8_t>(I)};
-    ASSERT_EQ(C.send(B, sizeof B), FLICK_OK);
+    ASSERT_EQ(sendBytes(C, B, sizeof B), FLICK_OK);
   }
   EXPECT_EQ(Link.pendingRequests(), size_t(K));
   flick_server_pool Pool;
@@ -204,7 +205,7 @@ TEST(ThreadedLink, BackpressureCountsQueueFullOnce) {
   // meet it full regardless of scheduling.
   Channel &Filler = Link.connect();
   uint8_t B[4] = {1, 2, 3, 4};
-  ASSERT_EQ(Filler.send(B, sizeof B), FLICK_OK);
+  ASSERT_EQ(sendBytes(Filler, B, sizeof B), FLICK_OK);
   ASSERT_EQ(Link.pendingRequests(), 1u);
 
   flick_metrics SenderM;
@@ -212,7 +213,7 @@ TEST(ThreadedLink, BackpressureCountsQueueFullOnce) {
   std::thread Sender([&] {
     flick_metrics_enable(&SenderM);
     Channel &C = Link.connect();
-    SendErr = C.send(B, sizeof B); // full at entry: counts, then blocks
+    SendErr = sendBytes(C, B, sizeof B); // full at entry: counts, then blocks
     flick_metrics_disable();
   });
   // No worker ever drains, so only shutdown can release the sender.
@@ -229,11 +230,11 @@ TEST(ThreadedLink, ShutdownUnblocksReceivers) {
   int ConnErr = -1, WorkerErr = -1;
   std::thread ClientT([&] {
     std::vector<uint8_t> Out;
-    ConnErr = Conn.recv(Out); // no reply will ever come
+    ConnErr = recvBytes(Conn, Out); // no reply will ever come
   });
   std::thread WorkerT([&] {
     std::vector<uint8_t> Out;
-    WorkerErr = Worker.recv(Out); // no request will ever come
+    WorkerErr = recvBytes(Worker, Out); // no request will ever come
   });
   Link.shutdown();
   ClientT.join();
@@ -248,10 +249,10 @@ TEST(ThreadedLink, SendAndRecvFailAfterShutdown) {
   Channel &Worker = Link.workerEnd();
   Link.shutdown();
   uint8_t B[4] = {9, 9, 9, 9};
-  EXPECT_EQ(Conn.send(B, sizeof B), FLICK_ERR_TRANSPORT);
+  EXPECT_EQ(sendBytes(Conn, B, sizeof B), FLICK_ERR_TRANSPORT);
   std::vector<uint8_t> Out;
-  EXPECT_EQ(Conn.recv(Out), FLICK_ERR_TRANSPORT);
-  EXPECT_EQ(Worker.recv(Out), FLICK_ERR_TRANSPORT);
+  EXPECT_EQ(recvBytes(Conn, Out), FLICK_ERR_TRANSPORT);
+  EXPECT_EQ(recvBytes(Worker, Out), FLICK_ERR_TRANSPORT);
   Link.shutdown(); // idempotent
 }
 
@@ -261,7 +262,7 @@ TEST(ThreadedLink, WorkerDrainsQueueAfterShutdown) {
   const int K = 5;
   for (int I = 0; I != K; ++I) {
     uint8_t B[4] = {static_cast<uint8_t>(0x10 + I)};
-    ASSERT_EQ(Conn.send(B, sizeof B), FLICK_OK);
+    ASSERT_EQ(sendBytes(Conn, B, sizeof B), FLICK_OK);
   }
   Link.shutdown();
   // Already-accepted requests still come out, in order, then the drained
@@ -269,12 +270,12 @@ TEST(ThreadedLink, WorkerDrainsQueueAfterShutdown) {
   Channel &Worker = Link.workerEnd();
   for (int I = 0; I != K; ++I) {
     std::vector<uint8_t> Out;
-    ASSERT_EQ(Worker.recv(Out), FLICK_OK) << "request " << I;
+    ASSERT_EQ(recvBytes(Worker, Out), FLICK_OK) << "request " << I;
     ASSERT_EQ(Out.size(), 4u);
     EXPECT_EQ(Out[0], 0x10 + I);
   }
   std::vector<uint8_t> Out;
-  EXPECT_EQ(Worker.recv(Out), FLICK_ERR_TRANSPORT);
+  EXPECT_EQ(recvBytes(Worker, Out), FLICK_ERR_TRANSPORT);
 }
 
 TEST(ThreadedLink, ModeledWireTimeIsAccountedPerThread) {
@@ -283,7 +284,7 @@ TEST(ThreadedLink, ModeledWireTimeIsAccountedPerThread) {
   ScopedMetrics S;
   Channel &Conn = Link.connect();
   uint8_t B[64] = {};
-  ASSERT_EQ(Conn.send(B, sizeof B), FLICK_OK);
+  ASSERT_EQ(sendBytes(Conn, B, sizeof B), FLICK_OK);
   EXPECT_GT(S.M.wire_time_us, 0.0);
   EXPECT_DOUBLE_EQ(S.M.wire_time_us,
                    NetworkModel::ethernet100().wireTimeUs(sizeof B));

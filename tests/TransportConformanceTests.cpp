@@ -6,17 +6,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The shared Transport contract (Transport.h file comment), checked
-/// against every implementation the factory can make: request/reply
-/// integrity through a worker pool, the zero-copy sendv/recvInto/release
-/// surface, backpressure accounting (one queue_full per send that meets a
-/// full queue or socket buffer), shutdown-while-blocked on every wait
-/// site, and drain-then-stop.  Each test is value-parameterized over
-/// "threaded", "sharded", and "socket", so a new transport joins the
-/// suite by adding one literal.  Runs under TSan in CI.
+/// The shared Transport contract (Transport.h file comment), checked against
+/// every implementation the factory can make: request/reply integrity through a
+/// worker pool, the zero-copy sendv/recvInto/release surface (empty messages,
+/// dirty receive buffers, released storage refilling without new allocations),
+/// backpressure accounting (one queue_full per send that meets a full queue or
+/// socket buffer), shutdown-while-blocked on every wait site, and
+/// drain-then-stop.  Each test is value-parameterized over "threaded",
+/// "sharded", and "socket", so a new transport joins the suite by adding one
+/// literal.  Runs under TSan in CI.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ChannelTestUtil.h"
 #include "runtime/Sampler.h"
 #include "runtime/flick_runtime.h"
 #include "runtime/transport/ShardedLink.h"
@@ -162,6 +164,53 @@ TEST_P(TransportConformance, SendvRecvIntoReleaseRoundTrip) {
   T->shutdown();
 }
 
+TEST_P(TransportConformance, EmptyMessagesRoundTrip) {
+  auto T = make();
+  expectEmptyMessagesRoundTrip(T->connect(), T->workerEnd());
+  T->shutdown();
+}
+
+TEST_P(TransportConformance, RecvIntoResetsDirtyBuffer) {
+  auto T = make();
+  Channel &C = T->connect();
+  Channel &W = T->workerEnd();
+  expectRecvIntoResetsDirtyBuffer(C, W); // request direction
+  expectRecvIntoResetsDirtyBuffer(W, C); // reply direction
+  T->shutdown();
+}
+
+TEST_P(TransportConformance, ReleasedStorageServesTheNextRoundTrip) {
+  ScopedMetrics Scope;
+  auto T = make();
+  Channel &C = T->connect();
+  Channel &W = T->workerEnd();
+  std::vector<uint8_t> Msg = pattern(4, 0, 512);
+  flick_buf Req, Rep;
+  flick_buf_init(&Req);
+  flick_buf_init(&Rep);
+  auto RoundTrip = [&] {
+    ASSERT_EQ(sendBytes(C, Msg.data(), Msg.size()), FLICK_OK);
+    ASSERT_EQ(W.recvInto(&Req), FLICK_OK);
+    ASSERT_EQ(sendBytes(W, Req.data, Req.len), FLICK_OK);
+    W.release(&Req);
+    ASSERT_EQ(C.recvInto(&Rep), FLICK_OK);
+    ASSERT_EQ(Rep.len, Msg.size());
+    EXPECT_EQ(std::memcmp(Rep.data, Msg.data(), Msg.size()), 0);
+    C.release(&Rep);
+  };
+  RoundTrip();
+  ASSERT_GT(Scope.M.pool_misses, 0u);
+  // Every buffer the first trip allocated was adopted and then released
+  // back to a pool, so the identical second trip allocates nothing.
+  uint64_t Misses = Scope.M.pool_misses;
+  RoundTrip();
+  EXPECT_EQ(Scope.M.pool_misses, Misses);
+  EXPECT_EQ(Scope.M.pool_hits, Misses);
+  flick_buf_destroy(&Req);
+  flick_buf_destroy(&Rep);
+  T->shutdown();
+}
+
 TEST_P(TransportConformance, BackpressureCountsQueueFullOncePerSend) {
   ScopedGauges Gauges;
   // Capacity 1: a couple of queued messages for the queue transports
@@ -178,7 +227,8 @@ TEST_P(TransportConformance, BackpressureCountsQueueFullOncePerSend) {
     // Sends succeed while there is space; the one that meets the full
     // condition counts queue_full once and blocks until shutdown fails
     // it out.
-    while ((SendErr = C.send(Payload.data(), Payload.size())) == FLICK_OK)
+    while ((SendErr = sendBytes(C, Payload.data(), Payload.size())) ==
+           FLICK_OK)
       ;
     flick_metrics_disable();
   });
@@ -201,11 +251,11 @@ TEST_P(TransportConformance, ShutdownUnblocksBlockedReceivers) {
   int ConnErr = -1, WorkerErr = -1;
   std::thread ClientT([&] {
     std::vector<uint8_t> Out;
-    ConnErr = Conn.recv(Out); // no reply will ever come
+    ConnErr = recvBytes(Conn, Out); // no reply will ever come
   });
   std::thread WorkerT([&] {
     std::vector<uint8_t> Out;
-    WorkerErr = Worker.recv(Out); // no request will ever come
+    WorkerErr = recvBytes(Worker, Out); // no request will ever come
   });
   T->shutdown();
   ClientT.join();
@@ -220,10 +270,10 @@ TEST_P(TransportConformance, SendAndRecvFailAfterShutdown) {
   Channel &Worker = T->workerEnd();
   T->shutdown();
   uint8_t B[4] = {9, 9, 9, 9};
-  EXPECT_EQ(Conn.send(B, sizeof B), FLICK_ERR_TRANSPORT);
+  EXPECT_EQ(sendBytes(Conn, B, sizeof B), FLICK_ERR_TRANSPORT);
   std::vector<uint8_t> Out;
-  EXPECT_EQ(Conn.recv(Out), FLICK_ERR_TRANSPORT);
-  EXPECT_EQ(Worker.recv(Out), FLICK_ERR_TRANSPORT);
+  EXPECT_EQ(recvBytes(Conn, Out), FLICK_ERR_TRANSPORT);
+  EXPECT_EQ(recvBytes(Worker, Out), FLICK_ERR_TRANSPORT);
   T->shutdown(); // idempotent
 }
 
@@ -233,7 +283,7 @@ TEST_P(TransportConformance, WorkerDrainsAcceptedRequestsAfterShutdown) {
   const int K = 5;
   for (int I = 0; I != K; ++I) {
     uint8_t B[4] = {static_cast<uint8_t>(0x10 + I)};
-    ASSERT_EQ(Conn.send(B, sizeof B), FLICK_OK);
+    ASSERT_EQ(sendBytes(Conn, B, sizeof B), FLICK_OK);
   }
   EXPECT_NE(T->pendingRequests(), 0u);
   T->shutdown();
@@ -242,12 +292,12 @@ TEST_P(TransportConformance, WorkerDrainsAcceptedRequestsAfterShutdown) {
   Channel &Worker = T->workerEnd();
   for (int I = 0; I != K; ++I) {
     std::vector<uint8_t> Out;
-    ASSERT_EQ(Worker.recv(Out), FLICK_OK) << "request " << I;
+    ASSERT_EQ(recvBytes(Worker, Out), FLICK_OK) << "request " << I;
     ASSERT_EQ(Out.size(), 4u);
     EXPECT_EQ(Out[0], 0x10 + I);
   }
   std::vector<uint8_t> Out;
-  EXPECT_EQ(Worker.recv(Out), FLICK_ERR_TRANSPORT);
+  EXPECT_EQ(recvBytes(Worker, Out), FLICK_ERR_TRANSPORT);
   EXPECT_EQ(T->pendingRequests(), 0u);
 }
 
