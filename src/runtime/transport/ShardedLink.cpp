@@ -9,6 +9,7 @@
 #include "runtime/Sampler.h"
 #include "runtime/flick_runtime.h"
 #include <chrono>
+#include <sched.h>
 #include <thread>
 
 using namespace flick;
@@ -16,6 +17,44 @@ using namespace flick;
 // Shards beyond the worker count just add steal sweeps, so the default
 // stays small; fig8 tops out at 4 workers.
 static const size_t DefaultShards = 4;
+
+// How long a waiter polls before it parks.  Polling pays only if the next
+// message usually lands inside the budget, so the budget must outlast,
+// several times over, both the mean gap between requests at the rate the
+// transport serves (10 us at 100k requests/s) and one condvar
+// park-and-wake (2.5-8 us on a 4-vCPU Xeon VM: half the round-trip p50
+// bench/host_probe reports).  Past it the waiter parks, so a silent link
+// costs one budget per wait, not a core.
+static const auto PollBudget = std::chrono::microseconds(50);
+
+// Polls between sched_yield calls.  With more polling threads than CPUs
+// (fig9's closed loop: a client and four workers on four vCPUs) a poller
+// that never yields can hold the one thread with work off its CPU for a
+// whole time slice; yielding hands it the CPU within a few microseconds.
+static const unsigned PollsPerYield = 64;
+
+static inline void cpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+/// Polls \p Ready, pausing the CPU between polls and yielding it every
+/// PollsPerYield polls, until it returns true or PollBudget has passed.
+/// Returns Ready's last answer.
+template <typename Pred> static bool pollFor(Pred Ready) {
+  auto Deadline = std::chrono::steady_clock::now() + PollBudget;
+  for (unsigned N = 1;; ++N) {
+    if (Ready())
+      return true;
+    cpuRelax();
+    if (N % PollsPerYield == 0) {
+      sched_yield();
+      if (std::chrono::steady_clock::now() >= Deadline)
+        return Ready();
+    }
+  }
+}
 
 //===----------------------------------------------------------------------===//
 // Ring
@@ -301,30 +340,39 @@ bool ShardedLink::tryPopAny(size_t Pref, Conn **From, WireMsg *M) {
 }
 
 int ShardedLink::popRequest(WorkerChan *W, Conn **From, WireMsg *M) {
+  bool Got = false;
+  auto Sweep = [&] {
+    // Own shard first, then steal: NShards acquire loads when all empty.
+    return (Got = tryPopAny(W->Shard, From, M)) ||
+           Down.load(std::memory_order_acquire);
+  };
   for (;;) {
-    // Spin a bounded number of sweeps (own shard first, then steal)
-    // before parking; each empty sweep is NShards acquire loads.
-    for (int Spin = 0; Spin != 64; ++Spin) {
+    // Poll only when the last wait ended in work; a worker whose timed
+    // park expired sweeps once and parks again, so an idle worker costs
+    // one sweep per park timeout.
+    if (W->Polls ? pollFor(Sweep) : Sweep()) {
+      if (Got) {
+        W->Polls = true;
+        return FLICK_OK;
+      }
+      // Drain-then-stop: one final sweep so every request published
+      // before shutdown is still handed out.
       if (tryPopAny(W->Shard, From, M))
         return FLICK_OK;
-      if (Down.load(std::memory_order_acquire)) {
-        // Drain-then-stop: one final sweep so every request published
-        // before shutdown is still handed out.
-        if (tryPopAny(W->Shard, From, M))
-          return FLICK_OK;
-        return FLICK_ERR_TRANSPORT;
-      }
+      return FLICK_ERR_TRANSPORT;
     }
     // Park.  The seq_cst increment-then-recheck pairs with wakeWorker's
     // push-then-load; the bounded wait backstops the residual race.
     Sleepers.fetch_add(1, std::memory_order_seq_cst);
+    bool Woken = true;
     if (!anyReady() && !Down.load(std::memory_order_relaxed)) {
       std::unique_lock<std::mutex> L(ParkMu);
-      WorkCv.wait_for(L, std::chrono::milliseconds(10), [&] {
+      Woken = WorkCv.wait_for(L, std::chrono::milliseconds(10), [&] {
         return anyReady() || Down.load(std::memory_order_relaxed);
       });
     }
     Sleepers.fetch_sub(1, std::memory_order_relaxed);
+    W->Polls = Woken;
   }
 }
 
@@ -338,6 +386,14 @@ ShardedLink::Conn::~Conn() {
 }
 
 int ShardedLink::Conn::awaitReply(WireMsg *M) {
+  // A caller waits only with a request out, so the reply is usually a
+  // dispatch away: poll the queued count before taking the lock.  If the
+  // budget runs out, park on RCv; a worker's notify_one costs no syscall
+  // while nobody is parked there.
+  pollFor([&] {
+    return Queued.load(std::memory_order_acquire) != 0 ||
+           Link.Down.load(std::memory_order_relaxed);
+  });
   std::unique_lock<std::mutex> L(RMu);
   RCv.wait(L, [&] {
     return !RepQ.empty() || Link.Down.load(std::memory_order_relaxed);
@@ -346,6 +402,7 @@ int ShardedLink::Conn::awaitReply(WireMsg *M) {
     return FLICK_ERR_TRANSPORT;
   *M = RepQ.front();
   RepQ.pop_front();
+  Queued.store(RepQ.size(), std::memory_order_relaxed);
   return FLICK_OK;
 }
 
@@ -381,6 +438,7 @@ int ShardedLink::WorkerChan::sendv(const flick_iov *Segs, size_t Count) {
   {
     std::lock_guard<std::mutex> L(To->RMu);
     To->RepQ.push_back(M);
+    To->Queued.store(To->RepQ.size(), std::memory_order_release);
   }
   To->RCv.notify_one();
   return FLICK_OK;

@@ -12,11 +12,23 @@
 /// atomic head/tail tickets); each connection is pinned to one shard at
 /// connect() and each worker owns a preferred shard, stealing from the
 /// others when its own runs dry.  The hot path -- push on send, pop on
-/// worker recv -- takes no mutex; condition variables appear only when a
-/// worker has found every ring empty (parks on WorkCv) or a sender has
-/// met a full ring (parks on SpaceCv), and both parks pair an atomic
-/// waiter count with a bounded wait so a lost wakeup degrades to a few
-/// milliseconds of latency, never a hang.
+/// worker recv -- takes no mutex.
+///
+/// Both waits poll before they park: a worker waiting for a request and a
+/// client waiting for its reply test readiness with a CPU pause between
+/// tests and a sched_yield every 64, for at most a fixed 50 us budget, so
+/// a call that finds its peer within the budget pays no futex wake-up on
+/// either side.  A worker polls only when its last wait ended in work, so
+/// an idle pool sleeps.  Past the budget a worker parks on WorkCv, and a
+/// sender that meets a full ring parks on SpaceCv; both parks pair an
+/// atomic waiter count with a bounded wait so a lost wakeup degrades to a
+/// few milliseconds of latency, never a hang.  Replies travel through a
+/// per-connection mutex, deque and condvar (RMu, RepQ, RCv), with the
+/// queued count mirrored in an atomic the client polls.  They stay
+/// unbounded on purpose: a bounded reply ring would add a second
+/// backpressure path, and with it a deadlock between a worker blocked on
+/// a client's full reply ring and that client blocked on a full request
+/// ring.
 ///
 /// Flight-recorder hooks: the shared queue_depth / queue_enqueues /
 /// queue_dequeues / queue_wait_ns gauges keep their meaning; ring_wait_ns
@@ -83,6 +95,8 @@ private:
     std::mutex RMu;
     std::condition_variable RCv;
     std::deque<WireMsg> RepQ;
+    /// RepQ.size(), stored under RMu, so awaitReply can poll without it.
+    std::atomic<size_t> Queued{0};
     WireBufPool Pool;
   };
 
@@ -98,6 +112,7 @@ private:
     friend class ShardedLink;
     ShardedLink &Link;
     const size_t Shard; ///< preferred shard; steals from the rest
+    bool Polls = false; ///< the last wait ended in work: poll the next one
     Conn *CurConn = nullptr;
     WireBufPool Pool;
   };

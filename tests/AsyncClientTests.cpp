@@ -24,6 +24,7 @@
 #include "runtime/flick_runtime.h"
 #include "runtime/transport/LocalLink.h"
 #include "runtime/transport/Transport.h"
+#include <chrono>
 #include <cstring>
 #include <deque>
 #include <gtest/gtest.h>
@@ -324,6 +325,13 @@ int echoDispatch(flick_server *, flick_buf *Req, flick_buf *Rep) {
   return FLICK_OK;
 }
 
+/// Echo after 200 us: longer than any transport polls before it parks, so
+/// every reply wakes a parked client.
+int slowEchoDispatch(flick_server *S, flick_buf *Req, flick_buf *Rep) {
+  std::this_thread::sleep_for(std::chrono::microseconds(200));
+  return echoDispatch(S, Req, Rep);
+}
+
 class AsyncClientTransport : public ::testing::TestWithParam<const char *> {
 protected:
   std::unique_ptr<Transport> make(size_t QueueCap = 256) {
@@ -334,43 +342,45 @@ protected:
 };
 
 TEST_P(AsyncClientTransport, PipelinedEchoesMatchTheirOwnRequests) {
-  ScopedMetrics Scope;
-  auto T = make();
-  flick_server_pool Pool;
-  ASSERT_EQ(flick_server_pool_start(&Pool, T.get(), echoDispatch, 4),
-            FLICK_OK);
+  for (flick_dispatch_fn Dispatch : {echoDispatch, slowEchoDispatch}) {
+    SCOPED_TRACE(Dispatch == echoDispatch ? "echo" : "slow echo");
+    ScopedMetrics Scope;
+    auto T = make();
+    flick_server_pool Pool;
+    ASSERT_EQ(flick_server_pool_start(&Pool, T.get(), Dispatch, 4), FLICK_OK);
 
-  flick_async_opts Opts;
-  Opts.window = 8;
-  flick_async_client Cli;
-  ASSERT_EQ(flick_async_client_init(&Cli, &T->connect(), &Opts), FLICK_OK);
+    flick_async_opts Opts;
+    Opts.window = 8;
+    flick_async_client Cli;
+    ASSERT_EQ(flick_async_client_init(&Cli, &T->connect(), &Opts), FLICK_OK);
 
-  // More submits than the window: blocking submits pump completions; four
-  // workers race, so replies interleave however they like -- every handle
-  // must still end up with its own echo.
-  const unsigned Calls = 64;
-  std::vector<flick_call *> Handles;
-  for (unsigned I = 0; I != Calls; ++I) {
-    marshalPattern(flick_async_begin(&Cli), 21, I, 64 + (I % 7));
-    flick_call *Call = nullptr;
-    ASSERT_EQ(flick_async_submit(&Cli, &Call), FLICK_OK);
-    Handles.push_back(Call);
+    // More submits than the window: blocking submits pump completions;
+    // four workers race, so replies interleave however they like -- every
+    // handle must still end up with its own echo.
+    const unsigned Calls = 64;
+    std::vector<flick_call *> Handles;
+    for (unsigned I = 0; I != Calls; ++I) {
+      marshalPattern(flick_async_begin(&Cli), 21, I, 64 + (I % 7));
+      flick_call *Call = nullptr;
+      ASSERT_EQ(flick_async_submit(&Cli, &Call), FLICK_OK);
+      Handles.push_back(Call);
+    }
+    ASSERT_EQ(flick_async_drain(&Cli), FLICK_OK);
+    for (unsigned I = 0; I != Calls; ++I) {
+      ASSERT_TRUE(Handles[I]->done) << "call " << I;
+      ASSERT_EQ(Handles[I]->status, FLICK_OK) << "call " << I;
+      std::vector<uint8_t> Want = pattern(21, I, 64 + (I % 7));
+      ASSERT_EQ(Handles[I]->rep.len, Want.size());
+      EXPECT_EQ(std::memcmp(Handles[I]->rep.data, Want.data(), Want.size()), 0)
+          << "call " << I << " got another call's reply";
+      flick_async_release(&Cli, Handles[I]);
+    }
+    EXPECT_EQ(Cli.inflight, 0u);
+    EXPECT_EQ(Scope.M.corr_drops, 0u);
+    EXPECT_EQ(Scope.M.rpc_latency.count, Calls);
+    flick_async_client_destroy(&Cli);
+    flick_server_pool_stop(&Pool);
   }
-  ASSERT_EQ(flick_async_drain(&Cli), FLICK_OK);
-  for (unsigned I = 0; I != Calls; ++I) {
-    ASSERT_TRUE(Handles[I]->done) << "call " << I;
-    ASSERT_EQ(Handles[I]->status, FLICK_OK) << "call " << I;
-    std::vector<uint8_t> Want = pattern(21, I, 64 + (I % 7));
-    ASSERT_EQ(Handles[I]->rep.len, Want.size());
-    EXPECT_EQ(std::memcmp(Handles[I]->rep.data, Want.data(), Want.size()), 0)
-        << "call " << I << " got another call's reply";
-    flick_async_release(&Cli, Handles[I]);
-  }
-  EXPECT_EQ(Cli.inflight, 0u);
-  EXPECT_EQ(Scope.M.corr_drops, 0u);
-  EXPECT_EQ(Scope.M.rpc_latency.count, Calls);
-  flick_async_client_destroy(&Cli);
-  flick_server_pool_stop(&Pool);
 }
 
 TEST_P(AsyncClientTransport, UnknownAndDuplicateIdsFromAWorkerAreDropped) {

@@ -9,9 +9,10 @@
 /// ShardedLink specifics beyond the TransportConformance contract: shard
 /// placement and work stealing (with the steals gauge), per-shard depth
 /// accounting, ring_wait_ns for senders blocked on a full ring, gauge
-/// balance after a full pool run, and a shutdown-vs-senders race.  The
-/// concurrency tests run under TSan in CI; every assertion is about a
-/// deterministic outcome, not an interleaving.
+/// balance after a full pool run, a shutdown-vs-senders race, and an
+/// idle pool that must park rather than poll.  The concurrency tests run
+/// under TSan in CI; every assertion is about a deterministic outcome, not
+/// an interleaving.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +24,8 @@
 #include <chrono>
 #include <cstring>
 #include <gtest/gtest.h>
+#include <string>
+#include <sys/resource.h>
 #include <thread>
 #include <vector>
 
@@ -186,6 +189,32 @@ TEST(ShardedLink, GaugesBalanceAfterPoolRun) {
   EXPECT_EQ(flick_gauges_global.queue_depth.load(), 0u);
   for (int S = 0; S != FLICK_GAUGE_SHARD_SLOTS; ++S)
     EXPECT_EQ(flick_gauges_global.shard_depth[S].load(), 0u) << "slot " << S;
+}
+
+double processCpuSeconds() {
+  rusage U;
+  getrusage(RUSAGE_SELF, &U);
+  return static_cast<double>(U.ru_utime.tv_sec + U.ru_stime.tv_sec) +
+         static_cast<double>(U.ru_utime.tv_usec + U.ru_stime.tv_usec) * 1e-6;
+}
+
+TEST(ShardedLink, IdlePoolStaysParked) {
+  ShardedLink Link;
+  flick_server_pool Pool;
+  ASSERT_EQ(flick_server_pool_start(&Pool, &Link, echoDispatch, 4), FLICK_OK);
+  // A few calls first, so workers go idle straight out of work, the state
+  // in which they poll before parking.
+  EXPECT_EQ(driveEchoes(Link, 7, 20, 64), 20u);
+  // Four workers that polled forever would burn about 4 CPU-seconds here;
+  // a worker that polls only after work parks within 50 us and then
+  // sleeps in 10 ms timed waits.
+  double Cpu0 = processCpuSeconds();
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  double IdleCpu = processCpuSeconds() - Cpu0;
+  flick_server_pool_stop(&Pool);
+  RecordProperty("idle_cpu_ms", std::to_string(IdleCpu * 1e3));
+  EXPECT_LT(IdleCpu, 0.1) << "an idle 4-worker pool used " << IdleCpu * 1e3
+                          << " ms of CPU in 1 s";
 }
 
 TEST(ShardedLink, ShutdownRacesActiveSenders) {

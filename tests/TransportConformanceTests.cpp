@@ -25,6 +25,7 @@
 #include "runtime/transport/SocketLink.h"
 #include "runtime/transport/ThreadedLink.h"
 #include "runtime/transport/Transport.h"
+#include <chrono>
 #include <cstring>
 #include <gtest/gtest.h>
 #include <string>
@@ -41,6 +42,13 @@ int echoDispatch(flick_server *, flick_buf *Req, flick_buf *Rep) {
     return FLICK_ERR_ALLOC;
   std::memcpy(flick_buf_grab(Rep, N), Req->data + Req->pos, N);
   return FLICK_OK;
+}
+
+/// Echo after 200 us: longer than any transport polls before it parks, so
+/// every call parks and wakes both the worker and the client.
+int slowEchoDispatch(flick_server *S, flick_buf *Req, flick_buf *Rep) {
+  std::this_thread::sleep_for(std::chrono::microseconds(200));
+  return echoDispatch(S, Req, Rep);
 }
 
 struct ScopedMetrics {
@@ -109,22 +117,24 @@ protected:
 };
 
 TEST_P(TransportConformance, EchoAcrossPoolPreservesPayloads) {
-  auto T = make();
-  flick_server_pool Pool;
-  ASSERT_EQ(flick_server_pool_start(&Pool, T.get(), echoDispatch, 4),
-            FLICK_OK);
-  const unsigned Clients = 3, Calls = 25;
-  std::vector<unsigned> Verified(Clients, 0);
-  std::vector<std::thread> Ts;
-  for (unsigned I = 0; I != Clients; ++I)
-    Ts.emplace_back([&, I] {
-      Verified[I] = driveEchoes(*T, I, Calls, 64 + I * 32);
-    });
-  for (auto &Th : Ts)
-    Th.join();
-  flick_server_pool_stop(&Pool);
-  for (unsigned I = 0; I != Clients; ++I)
-    EXPECT_EQ(Verified[I], Calls) << "client " << I;
+  for (flick_dispatch_fn Dispatch : {echoDispatch, slowEchoDispatch}) {
+    SCOPED_TRACE(Dispatch == echoDispatch ? "echo" : "slow echo");
+    auto T = make();
+    flick_server_pool Pool;
+    ASSERT_EQ(flick_server_pool_start(&Pool, T.get(), Dispatch, 4), FLICK_OK);
+    const unsigned Clients = 3, Calls = 25;
+    std::vector<unsigned> Verified(Clients, 0);
+    std::vector<std::thread> Ts;
+    for (unsigned I = 0; I != Clients; ++I)
+      Ts.emplace_back([&, I] {
+        Verified[I] = driveEchoes(*T, I, Calls, 64 + I * 32);
+      });
+    for (auto &Th : Ts)
+      Th.join();
+    flick_server_pool_stop(&Pool);
+    for (unsigned I = 0; I != Clients; ++I)
+      EXPECT_EQ(Verified[I], Calls) << "client " << I;
+  }
 }
 
 TEST_P(TransportConformance, SendvRecvIntoReleaseRoundTrip) {
@@ -245,23 +255,29 @@ TEST_P(TransportConformance, BackpressureCountsQueueFullOncePerSend) {
 }
 
 TEST_P(TransportConformance, ShutdownUnblocksBlockedReceivers) {
-  auto T = make();
-  Channel &Conn = T->connect();
-  Channel &Worker = T->workerEnd();
-  int ConnErr = -1, WorkerErr = -1;
-  std::thread ClientT([&] {
-    std::vector<uint8_t> Out;
-    ConnErr = recvBytes(Conn, Out); // no reply will ever come
-  });
-  std::thread WorkerT([&] {
-    std::vector<uint8_t> Out;
-    WorkerErr = recvBytes(Worker, Out); // no request will ever come
-  });
-  T->shutdown();
-  ClientT.join();
-  WorkerT.join();
-  EXPECT_EQ(ConnErr, FLICK_ERR_TRANSPORT);
-  EXPECT_EQ(WorkerErr, FLICK_ERR_TRANSPORT);
+  // At once, shutdown can beat both receivers to their wait; 20 ms in,
+  // both have given up polling and parked.
+  for (int DelayMs : {0, 20}) {
+    SCOPED_TRACE("shutdown after " + std::to_string(DelayMs) + " ms");
+    auto T = make();
+    Channel &Conn = T->connect();
+    Channel &Worker = T->workerEnd();
+    int ConnErr = -1, WorkerErr = -1;
+    std::thread ClientT([&] {
+      std::vector<uint8_t> Out;
+      ConnErr = recvBytes(Conn, Out); // no reply will ever come
+    });
+    std::thread WorkerT([&] {
+      std::vector<uint8_t> Out;
+      WorkerErr = recvBytes(Worker, Out); // no request will ever come
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(DelayMs));
+    T->shutdown();
+    ClientT.join();
+    WorkerT.join();
+    EXPECT_EQ(ConnErr, FLICK_ERR_TRANSPORT);
+    EXPECT_EQ(WorkerErr, FLICK_ERR_TRANSPORT);
+  }
 }
 
 TEST_P(TransportConformance, SendAndRecvFailAfterShutdown) {
