@@ -41,13 +41,16 @@ static inline void cpuRelax() {
 
 /// Polls \p Ready, pausing the CPU between polls and yielding it every
 /// PollsPerYield polls, until it returns true or PollBudget has passed.
-/// Returns Ready's last answer.
+/// Returns Ready's last answer.  The first poll comes before the clock is
+/// read, so a wait whose peer is already there costs no steady_clock::now.
 template <typename Pred> static bool pollFor(Pred Ready) {
+  if (Ready())
+    return true;
   auto Deadline = std::chrono::steady_clock::now() + PollBudget;
   for (unsigned N = 1;; ++N) {
+    cpuRelax();
     if (Ready())
       return true;
-    cpuRelax();
     if (N % PollsPerYield == 0) {
       sched_yield();
       if (std::chrono::steady_clock::now() >= Deadline)
@@ -381,28 +384,39 @@ int ShardedLink::popRequest(WorkerChan *W, Conn **From, WireMsg *M) {
 //===----------------------------------------------------------------------===//
 
 ShardedLink::Conn::~Conn() {
+  for (size_t I = TakenAt; I != Taken.size(); ++I)
+    std::free(Taken[I].Data);
   for (WireMsg &M : RepQ)
     std::free(M.Data);
 }
 
 int ShardedLink::Conn::awaitReply(WireMsg *M) {
-  // A caller waits only with a request out, so the reply is usually a
-  // dispatch away: poll the queued count before taking the lock.  If the
-  // budget runs out, park on RCv; a worker's notify_one costs no syscall
-  // while nobody is parked there.
-  pollFor([&] {
-    return Queued.load(std::memory_order_acquire) != 0 ||
-           Link.Down.load(std::memory_order_relaxed);
-  });
-  std::unique_lock<std::mutex> L(RMu);
-  RCv.wait(L, [&] {
-    return !RepQ.empty() || Link.Down.load(std::memory_order_relaxed);
-  });
-  if (RepQ.empty())
-    return FLICK_ERR_TRANSPORT;
-  *M = RepQ.front();
-  RepQ.pop_front();
-  Queued.store(RepQ.size(), std::memory_order_relaxed);
+  // Replies taken earlier were queued before anything still in RepQ, so
+  // serving them first keeps per-connection FIFO across takes.
+  if (TakenAt == Taken.size()) {
+    // A caller waits only with a request out, so the reply is usually a
+    // dispatch away: poll the queued count before taking the lock.  If
+    // the budget runs out, park on RCv; a worker's notify_one costs no
+    // syscall while nobody is parked there.
+    pollFor([&] {
+      return Queued.load(std::memory_order_acquire) != 0 ||
+             Link.Down.load(std::memory_order_relaxed);
+    });
+    std::unique_lock<std::mutex> L(RMu);
+    RCv.wait(L, [&] {
+      return !RepQ.empty() || Link.Down.load(std::memory_order_relaxed);
+    });
+    if (RepQ.empty())
+      return FLICK_ERR_TRANSPORT;
+    // Take every queued reply in this one acquisition.  The two vectors
+    // trade places and keep their capacity, so steady state allocates
+    // nothing.
+    Taken.clear();
+    Taken.swap(RepQ);
+    TakenAt = 0;
+    Queued.store(0, std::memory_order_relaxed);
+  }
+  *M = Taken[TakenAt++];
   return FLICK_OK;
 }
 

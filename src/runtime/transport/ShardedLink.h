@@ -23,12 +23,17 @@
 /// sender that meets a full ring parks on SpaceCv; both parks pair an
 /// atomic waiter count with a bounded wait so a lost wakeup degrades to a
 /// few milliseconds of latency, never a hang.  Replies travel through a
-/// per-connection mutex, deque and condvar (RMu, RepQ, RCv), with the
-/// queued count mirrored in an atomic the client polls.  They stay
-/// unbounded on purpose: a bounded reply ring would add a second
-/// backpressure path, and with it a deadlock between a worker blocked on
-/// a client's full reply ring and that client blocked on a full request
-/// ring.
+/// per-connection mutex, vector and condvar (RMu, RepQ, RCv), with the
+/// queued count mirrored in an atomic the client polls.  The client takes
+/// every queued reply in one acquisition, swapping RepQ with a private
+/// vector it then serves without the lock; the two vectors trade places
+/// and keep their capacity, so steady state allocates nothing.  The state
+/// workers write and the state only the client touches start separate
+/// cache lines, so serving a taken batch leaves the workers' lines alone.
+/// Replies stay unbounded on purpose: a bounded reply ring would add a
+/// second backpressure path, and with it a deadlock between a worker
+/// blocked on a client's full reply ring and that client blocked on a full
+/// request ring.
 ///
 /// Flight-recorder hooks: the shared queue_depth / queue_enqueues /
 /// queue_dequeues / queue_wait_ns gauges keep their meaning; ring_wait_ns
@@ -45,7 +50,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -92,11 +96,19 @@ private:
 
     ShardedLink &Link;
     const size_t Shard; ///< the ring this connection's requests enter
-    std::mutex RMu;
+    /// The reply state workers write, on cache lines of its own: a
+    /// client serving its private list below never pulls these lines
+    /// away from a worker appending a reply.
+    alignas(64) std::mutex RMu;
     std::condition_variable RCv;
-    std::deque<WireMsg> RepQ;
+    std::vector<WireMsg> RepQ;
     /// RepQ.size(), stored under RMu, so awaitReply can poll without it.
     std::atomic<size_t> Queued{0};
+    /// Client-only state from here on: the replies taken from RepQ in one
+    /// acquisition, of which Taken[TakenAt..] are still to be served, and
+    /// the send pool.
+    alignas(64) std::vector<WireMsg> Taken;
+    size_t TakenAt = 0;
     WireBufPool Pool;
   };
 

@@ -11,10 +11,10 @@
 /// worker pool, the zero-copy sendv/recvInto/release surface (empty messages,
 /// dirty receive buffers, released storage refilling without new allocations),
 /// backpressure accounting (one queue_full per send that meets a full queue or
-/// socket buffer), shutdown-while-blocked on every wait site, and
-/// drain-then-stop.  Each test is value-parameterized over "threaded",
-/// "sharded", and "socket", so a new transport joins the suite by adding one
-/// literal.  Runs under TSan in CI.
+/// socket buffer), shutdown-while-blocked on every wait site,
+/// drain-then-stop, and reply order when replies queue up unread.  Each test
+/// is value-parameterized over "threaded", "sharded", and "socket", so a new
+/// transport joins the suite by adding one literal.  Runs under TSan in CI.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -315,6 +315,46 @@ TEST_P(TransportConformance, WorkerDrainsAcceptedRequestsAfterShutdown) {
   std::vector<uint8_t> Out;
   EXPECT_EQ(recvBytes(Worker, Out), FLICK_ERR_TRANSPORT);
   EXPECT_EQ(T->pendingRequests(), 0u);
+}
+
+TEST_P(TransportConformance, QueuedRepliesArriveInOrderAcrossTakes) {
+  auto T = make();
+  Channel &C = T->connect();
+  Channel &W = T->workerEnd();
+  unsigned Queued = 0, Served = 0;
+  // Reply I carries its own payload and, by auto-echo, request I's
+  // correlation id.
+  auto QueueReplies = [&](unsigned N) {
+    for (unsigned End = Queued + N; Queued != End; ++Queued) {
+      C.setCorrelation(1000 + Queued);
+      uint8_t Req = static_cast<uint8_t>(Queued);
+      ASSERT_EQ(sendBytes(C, &Req, 1), FLICK_OK);
+      std::vector<uint8_t> Got;
+      ASSERT_EQ(recvBytes(W, Got), FLICK_OK);
+      ASSERT_EQ(Got, std::vector<uint8_t>{Req});
+      std::vector<uint8_t> Rep = pattern(5, Queued, 16 + Queued);
+      ASSERT_EQ(sendBytes(W, Rep.data(), Rep.size()), FLICK_OK);
+    }
+  };
+  auto ReadReplies = [&](unsigned N) {
+    for (unsigned End = Served + N; Served != End; ++Served) {
+      std::vector<uint8_t> Got;
+      ASSERT_EQ(recvBytes(C, Got), FLICK_OK) << "reply " << Served;
+      EXPECT_EQ(C.lastCorrelation(), 1000u + Served) << "reply " << Served;
+      EXPECT_EQ(Got, pattern(5, Served, 16 + Served)) << "reply " << Served;
+    }
+  };
+  // Six replies wait before the first read; three more arrive while four
+  // of those are still unread.
+  ASSERT_NO_FATAL_FAILURE(QueueReplies(6));
+  ASSERT_NO_FATAL_FAILURE(ReadReplies(2));
+  ASSERT_NO_FATAL_FAILURE(QueueReplies(3));
+  ASSERT_NO_FATAL_FAILURE(ReadReplies(7));
+  // Leave replies unread both among those already taken and among those
+  // still queued: destroying the link must free them all.
+  ASSERT_NO_FATAL_FAILURE(QueueReplies(4));
+  ASSERT_NO_FATAL_FAILURE(ReadReplies(1));
+  ASSERT_NO_FATAL_FAILURE(QueueReplies(2));
 }
 
 TEST_P(TransportConformance, MergedPoolMetricsAreExact) {
