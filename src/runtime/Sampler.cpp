@@ -8,6 +8,7 @@
 #include "runtime/Sampler.h"
 #include "runtime/flick_runtime.h"
 #include "support/BuildInfo.h"
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -193,9 +194,8 @@ void takeSample(Sampler &S) {
   Smp.shard_slots_live = Ld(G.shard_slots_live);
   uint64_t LiveSlots = Smp.shard_slots_live;
   if (!LiveSlots)
-    LiveSlots = Smp.workers_running < FLICK_GAUGE_SHARD_SLOTS
-                    ? Smp.workers_running
-                    : FLICK_GAUGE_SHARD_SLOTS;
+    LiveSlots =
+        std::min<uint64_t>(Smp.workers_running, FLICK_GAUGE_SHARD_SLOTS);
   if (!LiveSlots)
     LiveSlots = FLICK_GAUGE_SHARD_SLOTS;
   Smp.shard_depth_avg =

@@ -227,8 +227,11 @@ bool lower(const InterpType &T, uint64_t Base, const InterpWire &W,
     S.Bytes = T.Count;
     S.Covers = 1;
     Out.push_back(std::move(S));
-    if (W.XdrWidening)
-      Out.push_back(Step{Step::K::Align});
+    if (W.XdrWidening) {
+      Step A{};
+      A.Kind = Step::K::Align;
+      Out.push_back(std::move(A));
+    }
     return true;
   }
   case InterpType::Kind::CString: {

@@ -285,9 +285,7 @@ void pushOpen(flick_tracer *T, flick_span &S) {
   if (S.trace_id == 0) {
     if (T->depth > 0) {
       const flick_span &Top =
-          T->open[(T->depth <= FLICK_TRACE_MAX_DEPTH ? T->depth
-                                                     : FLICK_TRACE_MAX_DEPTH) -
-                  1];
+          T->open[std::min<uint32_t>(T->depth, FLICK_TRACE_MAX_DEPTH) - 1];
       S.trace_id = Top.trace_id;
       S.parent_id = Top.span_id;
       if (!S.endpoint)
@@ -503,9 +501,7 @@ void flick_trace_record_complete(int kind, const char *name, double dur_us) {
   S.dur_us = dur_us;
   if (T->depth > 0) {
     const flick_span &Top =
-        T->open[(T->depth <= FLICK_TRACE_MAX_DEPTH ? T->depth
-                                                   : FLICK_TRACE_MAX_DEPTH) -
-                1];
+        T->open[std::min<uint32_t>(T->depth, FLICK_TRACE_MAX_DEPTH) - 1];
     S.trace_id = Top.trace_id;
     S.parent_id = Top.span_id;
     S.endpoint = Top.endpoint;
@@ -534,9 +530,7 @@ void flick_trace_stamp(uint64_t *trace_id, uint64_t *parent_id,
   if (!T || T->depth == 0)
     return;
   const flick_span &Top =
-      T->open[(T->depth <= FLICK_TRACE_MAX_DEPTH ? T->depth
-                                                 : FLICK_TRACE_MAX_DEPTH) -
-              1];
+      T->open[std::min<uint32_t>(T->depth, FLICK_TRACE_MAX_DEPTH) - 1];
   *trace_id = Top.trace_id;
   *parent_id = Top.span_id;
   if (endpoint)

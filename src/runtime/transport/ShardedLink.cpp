@@ -8,6 +8,7 @@
 #include "runtime/transport/ShardedLink.h"
 #include "runtime/Sampler.h"
 #include "runtime/flick_runtime.h"
+#include <algorithm>
 #include <chrono>
 #include <sched.h>
 #include <thread>
@@ -82,8 +83,10 @@ bool ShardedLink::Ring::push(Conn *From, const WireMsg &M) {
     Cell &C = Cells[Ticket & Mask];
     uint64_t Seq = C.Seq.load(std::memory_order_acquire);
     if (Seq == Ticket) {
-      // Cell is free for this ticket; claim it.
+      // Cell is free for this ticket; claim it.  seq_cst on success: the
+      // claim is the push's half of the wake handshake (wakeWorker).
       if (Head.compare_exchange_weak(Ticket, Ticket + 1,
+                                     std::memory_order_seq_cst,
                                      std::memory_order_relaxed))
         break;
       // Lost the claim race; Ticket was reloaded by the CAS.
@@ -128,7 +131,9 @@ bool ShardedLink::Ring::pop(Conn **From, WireMsg *M) {
 }
 
 size_t ShardedLink::Ring::size() const {
-  uint64_t H = Head.load(std::memory_order_relaxed);
+  // seq_cst: anyReady's half of the wake handshake (wakeWorker).  On
+  // x86-64 it is the same plain load as relaxed.
+  uint64_t H = Head.load(std::memory_order_seq_cst);
   uint64_t T = Tail.load(std::memory_order_relaxed);
   return H > T ? H - T : 0;
 }
@@ -226,13 +231,30 @@ bool ShardedLink::anyReady() const {
 }
 
 void ShardedLink::wakeWorker() {
-  // seq_cst pairs with the worker's seq_cst Sleepers increment: either we
-  // see the sleeper (and notify), or the sleeper's post-increment ring
-  // recheck sees our push.  The worker's bounded wait covers the rest.
-  if (Sleepers.load(std::memory_order_seq_cst) > 0) {
-    std::lock_guard<std::mutex> L(ParkMu);
-    WorkCv.notify_one();
-  }
+  // A push wakes a parked worker only when no worker is polling: a poller
+  // takes the request within its budget, and a woken worker would find
+  // the ring drained and park again.  Sleepers is read first, so the
+  // Polling line is read only while some worker is parked.
+  //
+  // The handshake.  The pusher claims its Head ticket, then loads Sleepers
+  // and Polling.  A worker increments Sleepers before it parks, or takes
+  // Polling from 1 to 0 as the last poller out, and then loads Head
+  // (anyReady).  All of these are seq_cst, so in their single total order
+  // at least one side sees the other: either the pusher sees no sleeper
+  // (and the parking worker's Head load sees the push), or it sees one
+  // and no poller (and notifies), or it sees a poller, whose decrement
+  // then follows the pusher's load.  That poller, if it leaves empty,
+  // parks and its Head load sees the push; if it leaves with a request,
+  // it hands the watch on (popRequest).  The bounded park stays the
+  // backstop it always was.
+  if (Sleepers.load(std::memory_order_seq_cst) > 0 &&
+      Polling.load(std::memory_order_seq_cst) == 0)
+    unparkOne();
+}
+
+void ShardedLink::unparkOne() {
+  std::lock_guard<std::mutex> L(ParkMu);
+  WorkCv.notify_one();
 }
 
 void ShardedLink::notifySpace() {
@@ -265,8 +287,7 @@ int ShardedLink::pushRequest(Conn *From, WireMsg M) {
     // Tell the sampler how many shard slots actually exist, so JSONL
     // depth statistics average over live shards, not all 8 slots.
     flick_gauges_global.shard_slots_live.store(
-        NShards < FLICK_GAUGE_SHARD_SLOTS ? NShards
-                                          : FLICK_GAUGE_SHARD_SLOTS,
+        std::min<size_t>(NShards, FLICK_GAUGE_SHARD_SLOTS),
         std::memory_order_relaxed);
   } else if (M.TraceId) {
     // A traced request still wants its queue wait attributed (the QUEUE
@@ -350,10 +371,27 @@ int ShardedLink::popRequest(WorkerChan *W, Conn **From, WireMsg *M) {
            Down.load(std::memory_order_acquire);
   };
   for (;;) {
-    // Poll only when the last wait ended in work; a worker whose timed
-    // park expired sweeps once and parks again, so an idle worker costs
-    // one sweep per park timeout.
-    if (W->Polls ? pollFor(Sweep) : Sweep()) {
+    // One sweep first.  Poll only when it comes up empty and the last wait
+    // ended in work; a worker whose timed park expired sweeps once and
+    // parks again, so an idle worker costs one sweep per park timeout.
+    // Only the poll counts in Polling: while it is nonzero pushes leave
+    // the parked workers asleep (wakeWorker).  A worker whose first sweep
+    // finds work never touches the shared count, so a busy pool does not
+    // bounce its line on every request.
+    bool Done = Sweep();
+    if (!Done && W->Polls) {
+      Polling.fetch_add(1, std::memory_order_seq_cst);
+      Done = pollFor(Sweep);
+      // The handoff.  A push that landed after our successful sweep but
+      // before this decrement saw us polling and skipped its wake, and we
+      // are off to dispatch.  So the last poller out with a request wakes
+      // a parked worker if requests remain; Sleepers first, so the sweep
+      // of the rings is paid only when someone is parked.
+      if (Polling.fetch_sub(1, std::memory_order_seq_cst) == 1 && Got &&
+          Sleepers.load(std::memory_order_seq_cst) > 0 && anyReady())
+        unparkOne();
+    }
+    if (Done) {
       if (Got) {
         W->Polls = true;
         return FLICK_OK;

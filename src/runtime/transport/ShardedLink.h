@@ -22,7 +22,12 @@
 /// an idle pool sleeps.  Past the budget a worker parks on WorkCv, and a
 /// sender that meets a full ring parks on SpaceCv; both parks pair an
 /// atomic waiter count with a bounded wait so a lost wakeup degrades to a
-/// few milliseconds of latency, never a hang.  Replies travel through a
+/// few milliseconds of latency, never a hang.  A push wakes a parked
+/// worker only when no worker is polling (Polling counts the workers
+/// whose first sweep came up empty), since a poller takes the request
+/// within its budget; the last poller to leave with a request wakes a
+/// parked worker itself if requests remain, which covers a push that
+/// landed between its sweep and its leaving.  Replies travel through a
 /// per-connection mutex, vector and condvar (RMu, RepQ, RCv), with the
 /// queued count mirrored in an atomic the client polls.  The client takes
 /// every queued reply in one acquisition, swapping RepQ with a private
@@ -157,7 +162,10 @@ private:
   /// wakes one blocked sender on success.
   bool tryPopAny(size_t Pref, Conn **From, WireMsg *M);
   bool anyReady() const;
+  /// Called after every push: unparks a worker if one is parked and none
+  /// is polling.
   void wakeWorker();
+  void unparkOne();
   void notifySpace();
 
   size_t NShards;
@@ -165,13 +173,18 @@ private:
   std::atomic<bool> Down{false};
 
   /// Parked workers: count + condvar.  Producers only touch ParkMu when
-  /// Sleepers is nonzero, so the un-contended hot path stays lock-free.
+  /// Sleepers is nonzero and Polling is zero, so the hot path stays
+  /// lock-free.
   std::atomic<int> Sleepers{0};
   std::mutex ParkMu;
   std::condition_variable WorkCv;
+  /// Workers inside their poll loop.  On a cache line of its own: workers
+  /// write it around every poll, and pushes read Sleepers and Down, and
+  /// pops FullWaiters, on every call.
+  alignas(64) std::atomic<int> Polling{0};
 
   /// Senders blocked on a full ring, same pattern.
-  std::atomic<int> FullWaiters{0};
+  alignas(64) std::atomic<int> FullWaiters{0};
   std::mutex FullMu;
   std::condition_variable SpaceCv;
 

@@ -69,8 +69,9 @@ TEST_P(WireLayoutTest, HostIdenticalImpliesNoSwap) {
   const MintType *Atoms[] = {M.integer(16, true), M.integer(32, false),
                              M.integer(64, true), M.floatType(64)};
   for (const MintType *T : Atoms)
-    if (L.hostIdentical(T))
+    if (L.hostIdentical(T)) {
       EXPECT_FALSE(L.needsSwap(T));
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWires, WireLayoutTest,

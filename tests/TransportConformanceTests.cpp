@@ -12,7 +12,8 @@
 /// dirty receive buffers, released storage refilling without new allocations),
 /// backpressure accounting (one queue_full per send that meets a full queue or
 /// socket buffer), shutdown-while-blocked on every wait site,
-/// drain-then-stop, and reply order when replies queue up unread.  Each test
+/// drain-then-stop, reply order when replies queue up unread, and a parked
+/// worker serving while another sits in a handler.  Each test
 /// is value-parameterized over "threaded", "sharded", and "socket", so a new
 /// transport joins the suite by adding one literal.  Runs under TSan in CI.
 ///
@@ -25,9 +26,12 @@
 #include "runtime/transport/SocketLink.h"
 #include "runtime/transport/ThreadedLink.h"
 #include "runtime/transport/Transport.h"
+#include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <gtest/gtest.h>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -48,6 +52,27 @@ int echoDispatch(flick_server *, flick_buf *Req, flick_buf *Rep) {
 /// every call parks and wakes both the worker and the client.
 int slowEchoDispatch(flick_server *S, flick_buf *Req, flick_buf *Rep) {
   std::this_thread::sleep_for(std::chrono::microseconds(200));
+  return echoDispatch(S, Req, Rep);
+}
+
+/// A one-byte HoldByte request waits inside the handler until the test
+/// releases it; every other request is echoed at once.
+const uint8_t HoldByte = 0xEE;
+
+struct HandlerGate {
+  std::mutex Mu;
+  std::condition_variable Cv;
+  bool Entered = false, Released = false;
+};
+
+int gatedEchoDispatch(flick_server *S, flick_buf *Req, flick_buf *Rep) {
+  if (Req->len - Req->pos == 1 && Req->data[Req->pos] == HoldByte) {
+    auto *G = static_cast<HandlerGate *>(S->impl);
+    std::unique_lock<std::mutex> L(G->Mu);
+    G->Entered = true;
+    G->Cv.notify_all();
+    G->Cv.wait(L, [&] { return G->Released; });
+  }
   return echoDispatch(S, Req, Rep);
 }
 
@@ -355,6 +380,82 @@ TEST_P(TransportConformance, QueuedRepliesArriveInOrderAcrossTakes) {
   ASSERT_NO_FATAL_FAILURE(QueueReplies(4));
   ASSERT_NO_FATAL_FAILURE(ReadReplies(1));
   ASSERT_NO_FATAL_FAILURE(QueueReplies(2));
+}
+
+TEST_P(TransportConformance, ParkedWorkerServesWhileAnotherIsInAHandler) {
+  // One worker of two sits in a handler; the other parks before each echo
+  // (1 ms pause).  A worker in a handler is not waiting for requests, so
+  // every echo must wake the parked one rather than wait out its timed
+  // park (10 ms on sharded).  Woken echoes take tens of microseconds; the
+  // 5 ms bound leaves room for a host whose CPUs are all busy, where the
+  // scheduler has delayed a woken worker by about 3 ms.
+  auto T = make();
+  HandlerGate Gate;
+  flick_client Held;
+  flick_client_init(&Held, &T->connect());
+  flick_server_pool Pool;
+  int Started =
+      flick_server_pool_start(&Pool, T.get(), gatedEchoDispatch, 2, &Gate);
+  ASSERT_EQ(Started, FLICK_OK);
+  auto CallHeld = [&](uint8_t Byte) {
+    flick_buf *Req = flick_client_begin(&Held);
+    if (flick_buf_ensure(Req, 1) != FLICK_OK)
+      return static_cast<int>(FLICK_ERR_ALLOC);
+    *flick_buf_grab(Req, 1) = Byte;
+    return flick_client_invoke(&Held);
+  };
+  // An echo right before the held call, so the worker that takes the held
+  // request is usually still polling after that echo when it lands.
+  int WarmErr = -1, HeldErr = -1;
+  std::thread HeldT([&] {
+    WarmErr = CallHeld(0x01);
+    HeldErr = CallHeld(HoldByte);
+  });
+  {
+    std::unique_lock<std::mutex> L(Gate.Mu);
+    Gate.Cv.wait(L, [&] { return Gate.Entered; });
+  }
+
+  flick_client Cli;
+  flick_client_init(&Cli, &T->connect());
+  const unsigned Calls = 20;
+  const size_t Bytes = 64;
+  std::vector<double> Us;
+  unsigned Verified = 0;
+  // No ASSERT until the held call is released and joined.
+  for (unsigned C = 0; C != Calls; ++C) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::vector<uint8_t> Want = pattern(6, C, Bytes);
+    flick_buf *Req = flick_client_begin(&Cli);
+    if (flick_buf_ensure(Req, Bytes) != FLICK_OK)
+      break;
+    std::memcpy(flick_buf_grab(Req, Bytes), Want.data(), Bytes);
+    auto T0 = std::chrono::steady_clock::now();
+    if (flick_client_invoke(&Cli) != FLICK_OK)
+      break;
+    std::chrono::duration<double, std::micro> Took =
+        std::chrono::steady_clock::now() - T0;
+    Us.push_back(Took.count());
+    if (Cli.rep.len == Bytes &&
+        std::memcmp(Cli.rep.data, Want.data(), Bytes) == 0)
+      ++Verified;
+  }
+  {
+    std::lock_guard<std::mutex> L(Gate.Mu);
+    Gate.Released = true;
+  }
+  Gate.Cv.notify_all();
+  HeldT.join();
+  flick_server_pool_stop(&Pool);
+  EXPECT_EQ(WarmErr, FLICK_OK);
+  EXPECT_EQ(HeldErr, FLICK_OK);
+  EXPECT_EQ(Held.rep.len, 1u);
+  flick_client_destroy(&Held);
+  flick_client_destroy(&Cli);
+
+  ASSERT_EQ(Verified, Calls);
+  std::nth_element(Us.begin(), Us.begin() + Calls / 2, Us.end());
+  EXPECT_LT(Us[Calls / 2], 5000.0) << "median echo, us";
 }
 
 TEST_P(TransportConformance, MergedPoolMetricsAreExact) {
